@@ -3,11 +3,12 @@
 Subcommands: wclass-gen, tangle, ckw-check, sm-check, batch.
 
 Exit codes are total: 0 success, 2 input error, 3 strong-monogamy
-violation candidate (residual below -tolerance).  Primary outputs (state
-files, report JSON, batch CSV) are byte-identical for identical command
-lines and seeds; wall-clock timings therefore go to the human summary on
-stderr, and the manifest embedded in file outputs carries duration_ms as
-null.
+violation candidate (residual below -tolerance).  A failure that is not an
+input error also exits 2, but its stderr line reads "internal error:".
+Primary outputs (state files, report JSON, batch CSV) are byte-identical
+for identical command lines and seeds; wall-clock timings therefore go to
+the human summary on stderr, and the manifest embedded in file outputs
+carries duration_ms as null.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _run(body):
     except click.exceptions.Exit:
         raise
     except Exception as exc:  # contract allows no other codes
-        _summary(f"error: {exc}")
+        _summary(f"internal error: {type(exc).__name__}: {exc}")
         sys.exit(EXIT_INPUT)
 
 
@@ -207,14 +208,12 @@ def _level_name(m: int) -> str:
 @click.option("--focus", type=int, default=1, show_default=True)
 @click.option("--partners", type=str, default=None,
               help="Comma-separated partner labels for a single reduction.")
-@click.option("--all", "all_levels", is_flag=True,
-              help="Evaluate the full hierarchy including the n-tangle (default).")
 @click.option("--permutation-weighted", is_flag=True,
               help="Count each index vector once per partner permutation.")
 @_roof_options
 @click.option("--out", type=click.Path(), default=None)
-def cmd_tangle(state_file, focus, partners, all_levels, permutation_weighted,
-               seed, restarts, padding, out):
+def cmd_tangle(state_file, focus, partners, permutation_weighted, seed,
+               restarts, padding, out):
     """Tangle values of a state file: single reduction or full hierarchy."""
 
     def body():

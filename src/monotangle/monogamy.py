@@ -8,22 +8,19 @@ For a pure n-qubit state with hub qubit `focus`:
   (m = 3 ... n-1) to the power m/2, so it refines CKW: it can only be
   smaller.  A negative SM residual beyond tolerance is a violation
   candidate and is surfaced, never swallowed.
+
+Both are folds over the one hierarchy recursion of :mod:`monotangle.tangle`
+(the CKW residual over its level-2 terms only), so a term has the same
+value whichever residual it enters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from math import factorial
 
-from .qstate import InputError, StateVector, density_from_pure
+from .qstate import InputError, StateVector
 from .roof import RoofConfig
-from .tangle import (
-    enumerate_index_vectors,
-    mixed_tangle_term,
-    one_tangle,
-    two_tangle,
-)
+from .tangle import _fold, _state_hierarchy
 from .wclass import WClassParams, wclass_state
 
 DEFAULT_MAX_SM_QUBITS = 7   # full SM evaluation cost grows combinatorially
@@ -44,6 +41,19 @@ class TermRecord:
     converged: bool
     restarts_used: int | None
     min_pure_tangle_seen: float | None
+
+    @classmethod
+    def from_term(cls, term) -> "TermRecord":
+        """Record of one hierarchy term from :func:`monotangle.tangle._hierarchy`."""
+        roof = term.roof
+        return cls(
+            partners=term.partners, m=term.m, value=term.value,
+            pow_value=max(0.0, term.value) ** (term.m / 2), weight=term.weight,
+            method="closed_form" if roof is None else "roof",
+            converged=roof is None or roof.converged,
+            restarts_used=None if roof is None else roof.restarts_used,
+            min_pure_tangle_seen=None if roof is None else roof.min_pure_tangle_seen,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,25 +104,15 @@ class MonogamyReport:
         }
 
 
-def ckw_residual(state: StateVector, focus: int = 1,
-                 config: RoofConfig | None = None) -> float:
+def ckw_residual(state: StateVector, focus: int = 1) -> float:
     """One-tangle minus the sum of closed-form pair two-tangles.
 
-    The two-tangles are exact (concurrence closed form), so no roof search
-    and no config are needed; `config` is accepted for interface symmetry
-    and ignored.
+    The two-tangles are exact (concurrence closed form): these are the
+    level-2 terms of the hierarchy, so no roof search is involved.
     """
-    n = state.num_qubits
-    if n < 2:
+    if state.num_qubits < 2:
         raise InputError("CKW residual needs at least 2 qubits")
-    residual = one_tangle(state, focus).value
-    if n == 2:
-        return residual - two_tangle(density_from_pure(state)).value
-    dummy = config if config is not None else RoofConfig()
-    for iv in enumerate_index_vectors(n, focus, 2):
-        value, _ = mixed_tangle_term(state, focus, iv.partners, dummy)
-        residual -= value
-    return residual
+    return _fold(*_state_hierarchy(state, focus, None, top=2))
 
 
 def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
@@ -134,58 +134,27 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
         raise InputError(
             f"{n} qubits exceeds the configured SM cap of {max_qubits}"
         )
-    one_t = one_tangle(state, focus).value
-    records: list[TermRecord] = []
-    sm = one_t
-    ckw = one_t
-    converged = True
-    min_tau: float | None = None
-    for m in range(2, n):
-        weight = factorial(m - 1) if permutation_weighted else 1
-        for iv in enumerate_index_vectors(n, focus, m):
-            value, roof_result = mixed_tangle_term(
-                state, focus, iv.partners, config,
-                permutation_weighted=permutation_weighted,
-            )
-            pow_value = max(0.0, value) ** (m / 2)
-            if roof_result is None:
-                records.append(TermRecord(
-                    partners=iv.partners, m=m, value=value, pow_value=pow_value,
-                    weight=weight, method="closed_form", converged=True,
-                    restarts_used=None, min_pure_tangle_seen=None,
-                ))
-            else:
-                records.append(TermRecord(
-                    partners=iv.partners, m=m, value=value, pow_value=pow_value,
-                    weight=weight, method="roof", converged=roof_result.converged,
-                    restarts_used=roof_result.restarts_used,
-                    min_pure_tangle_seen=roof_result.min_pure_tangle_seen,
-                ))
-                converged = converged and roof_result.converged
-                seen = roof_result.min_pure_tangle_seen
-                min_tau = seen if min_tau is None else min(min_tau, seen)
-            sm -= weight * pow_value
-            if m == 2:
-                ckw -= weight * value
-    roof_terms = [r for r in records if r.m >= 3]
-    saturated_ckw = bool(abs(ckw) <= tol_closed)
+    one_t, terms = _state_hierarchy(state, focus, config, permutation_weighted)
+    roofs = [t.roof for t in terms if t.roof is not None]
+    sm = _fold(one_t, terms)
+    ckw = _fold(one_t, [t for t in terms if t.m == 2])
     saturated_sm = bool(abs(sm) <= tol_roof
-                        and all(r.value <= tol_roof for r in roof_terms))
-    violation_tol = tol_roof if roof_terms else tol_closed
+                        and all(r.value <= tol_roof for r in roofs))
     return MonogamyReport(
         focus=focus,
         num_qubits=n,
         one_tangle=one_t,
-        terms=tuple(records),
+        terms=tuple(TermRecord.from_term(t) for t in terms),
         ckw_residual=float(ckw),
         sm_residual=float(sm),
-        saturated_ckw=saturated_ckw,
+        saturated_ckw=bool(abs(ckw) <= tol_closed),
         saturated_sm=saturated_sm,
-        sm_violation=bool(sm < -violation_tol),
-        converged=converged,
+        sm_violation=bool(sm < -(tol_roof if roofs else tol_closed)),
+        converged=all(r.converged for r in roofs),
         tol_closed=tol_closed,
         tol_roof=tol_roof,
-        min_pure_tangle_seen=min_tau,
+        min_pure_tangle_seen=min(
+            (r.min_pure_tangle_seen for r in roofs), default=None),
     )
 
 

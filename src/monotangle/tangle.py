@@ -4,9 +4,15 @@ The one-tangle of a pure state is 4 det of the focus qubit's reduced
 density matrix.  The two-tangle of a two-qubit mixed state is the squared
 concurrence (the closed form of its convex roof).  The n-tangle of a pure
 state subtracts, from the one-tangle, every mixed m-tangle of the
-focus-containing reductions raised to the power m/2, for m = 2 ... n-1;
-the m >= 3 terms are convex roofs delegated to :mod:`monotangle.roof`,
-the m = 2 terms use the exact concurrence closed form.
+focus-containing reductions raised to the power m/2, for m = 2 ... n-1.
+
+That (level, subset) hierarchy is written once, on raw amplitudes:
+:func:`_hierarchy` lists the terms and :func:`_term` evaluates one of
+them -- the concurrence closed form for m = 2, a convex roof delegated to
+:mod:`monotangle.roof` for m >= 3, whose members are evaluated by the
+leaf :func:`_pure_m_tangle_amps`, itself a fold over :func:`_hierarchy`.
+:func:`n_tangle_pure`, :func:`mixed_tangle_term` and the residuals in
+:mod:`monotangle.monogamy` are folds over the same two functions.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,9 +31,9 @@ from .qstate import (
     StateVector,
     _reduced_from_pure,
     as_subset,
-    reduce_pure_state,
+    check_labels_in_range,
 )
-from .roof import m_tangle_mixed as _roof_minimize
+from .roof import RoofResult, m_tangle_mixed as _roof_minimize
 
 # spin-flip operator sigma_y (x) sigma_y; fixed convention for concurrence
 SIGMA_YY = np.array(
@@ -60,28 +67,6 @@ class TangleValue:
             )
 
 
-@dataclass(frozen=True)
-class IndexVector:
-    """Hub label plus the (m-1) partner labels of one hierarchy term."""
-
-    focus: int
-    partners: tuple[int, ...]
-
-    def __post_init__(self):
-        partners = tuple(int(p) for p in self.partners)
-        if not partners:
-            raise InputError("partners must be nonempty")
-        if any(a >= b for a, b in zip(partners, partners[1:])):
-            raise InputError(f"partners must be strictly increasing, got {partners}")
-        if self.focus in partners:
-            raise InputError(f"focus {self.focus} cannot be its own partner")
-        object.__setattr__(self, "partners", partners)
-
-    @property
-    def level(self) -> int:
-        return 1 + len(self.partners)
-
-
 def _check_focus(state: StateVector, focus: int) -> None:
     if not 1 <= focus <= state.num_qubits:
         raise InputError(
@@ -97,15 +82,20 @@ def _clamp_noise(value: float) -> float:
     return value
 
 
+def _one_tangle_raw(amps: np.ndarray, n: int, fpos: int) -> float:
+    """4 det of the reduced state of position `fpos`, unclamped."""
+    rho = _reduced_from_pure(amps, n, (fpos - 1,))
+    return float(4.0 * (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
+
+
 def one_tangle(state: StateVector, focus: int) -> TangleValue:
     """Bipartite tangle of `state` between the focus qubit and the rest.
 
     Equals 4 det of the focus qubit's reduced density matrix.
     """
     _check_focus(state, focus)
-    rho = _reduced_from_pure(state.amplitudes, state.num_qubits, (focus - 1,))
-    det = float((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real)
-    return TangleValue(_clamp_noise(4.0 * det), level=1)
+    raw = _one_tangle_raw(state.amplitudes, state.num_qubits, focus)
+    return TangleValue(_clamp_noise(raw), level=1)
 
 
 def _concurrence_matrix(mat: np.ndarray) -> float:
@@ -140,15 +130,6 @@ def two_tangle(rho) -> TangleValue:
     return TangleValue(c * c, level=2)
 
 
-def pure_tangle_bipartite(state: StateVector, focus: int) -> TangleValue:
-    """Tangle of a pure state across the focus|rest bipartition.
-
-    Numerically identical to :func:`one_tangle`; exposed as the leaf
-    functional that roof searches evaluate on decomposition members.
-    """
-    return TangleValue(one_tangle(state, focus).value, level=2)
-
-
 def pure_functional_2q(amps: np.ndarray) -> float:
     """Level-2 roof leaf: tangle of a normalized two-qubit pure state.
 
@@ -172,69 +153,96 @@ pure_functional_2q.sqrt_form = np.array(
 )
 
 
-def enumerate_index_vectors(n: int, focus: int, m: int) -> list[IndexVector]:
-    """All level-m index vectors: size-(m-1) label combinations excluding focus.
+class _Term(NamedTuple):
+    """One hierarchy term: the mixed m-tangle of the hub plus `partners`."""
 
-    Each combination appears exactly once, in increasing label order;
-    there are C(n-1, m-1) of them.
+    partners: tuple[int, ...]
+    m: int
+    value: float
+    weight: int
+    roof: RoofResult | None     # None for the m = 2 closed form
+
+
+def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
+          config, permutation_weighted: bool):
+    """Mixed m-tangle of the reduction of raw `amps` onto fpos plus partners.
+
+    Returns (value, roof_result).  For m = 2 the concurrence closed form is
+    exact and roof_result is None.  For m >= 3 the roof search evaluates
+    each decomposition member with the pure m-tangle leaf, which recurses
+    through :func:`_hierarchy`; non-convergence of any nested roof marks
+    the returned result as not converged.
     """
-    if not 1 <= focus <= n:
-        raise InputError(f"focus {focus} out of range for n={n}")
-    if not 2 <= m <= n - 1:
-        raise InputError(f"level m must satisfy 2 <= m <= n-1, got m={m} for n={n}")
-    others = [q for q in range(1, n + 1) if q != focus]
-    return [IndexVector(focus, combo) for combo in combinations(others, m - 1)]
+    kept = tuple(sorted((fpos,) + partners))
+    mat = _reduced_from_pure(amps, n, tuple(p - 1 for p in kept))
+    m = len(kept)
+    if m == 2:
+        return _concurrence_matrix(mat) ** 2, None
+    member_fpos = kept.index(fpos) + 1
+    convergence_log: list[bool] = []
+
+    def pure_functional(member: np.ndarray) -> float:
+        return _pure_m_tangle_amps(
+            np.asarray(member, dtype=np.complex128), m, member_fpos, config,
+            permutation_weighted, convergence_log,
+        )
+
+    result = _roof_minimize(DensityOperator(kept, mat), fpos, partners,
+                            pure_functional, config)
+    if not all(convergence_log):
+        result = dataclasses.replace(result, converged=False)
+    return result.value, result
+
+
+def _hierarchy(amps: np.ndarray, n: int, fpos: int, config,
+               permutation_weighted: bool, top: int | None = None):
+    """Raw one-tangle and every hierarchy term of a pure n-qubit state.
+
+    Terms run over m = 2 ... top (default n - 1), ordered by level and
+    then lexicographically over the size-(m-1) partner subsets that
+    exclude the hub.  The weight is (m-1)! with `permutation_weighted` and
+    1 otherwise.
+    """
+    others = tuple(p for p in range(1, n + 1) if p != fpos)
+    terms = []
+    for m in range(2, (n - 1 if top is None else top) + 1):
+        weight = factorial(m - 1) if permutation_weighted else 1
+        for partners in combinations(others, m - 1):
+            value, result = _term(amps, n, fpos, partners, config,
+                                  permutation_weighted)
+            terms.append(_Term(partners, m, value, weight, result))
+    return _one_tangle_raw(amps, n, fpos), terms
+
+
+def _fold(total: float, terms) -> float:
+    """`total` minus weight * max(0, value)^(m/2) of every term, in order."""
+    for _, m, value, weight, _ in terms:
+        total -= weight * max(0.0, value) ** (m / 2)
+    return total
+
+
+def _state_hierarchy(state: StateVector, focus: int, config,
+                     permutation_weighted: bool = False,
+                     top: int | None = None):
+    """Validated :func:`_hierarchy` of `state`: clamped one-tangle and terms."""
+    _check_focus(state, focus)
+    one, terms = _hierarchy(state.amplitudes, state.num_qubits, focus, config,
+                            permutation_weighted, top)
+    return _clamp_noise(one), terms
 
 
 def _pure_m_tangle_amps(amps: np.ndarray, m: int, fpos: int, config,
                         permutation_weighted: bool,
                         convergence_log: list[bool]) -> float:
-    """Recursive pure m-tangle on a raw normalized amplitude vector.
+    """Roof leaf: recursive pure m-tangle of a raw normalized amplitude vector.
 
-    Numerically identical to :func:`n_tangle_pure` (same reductions, same
-    closed forms, same roof calls) but skips per-call object validation,
-    which matters inside roof searches where members are evaluated many
-    thousands of times.  Inner roof convergence flags are appended to
-    `convergence_log`.
+    Skips per-call object validation, which matters inside roof searches
+    where members are evaluated many thousands of times.  The convergence
+    flags of its own roof terms are appended to `convergence_log`.
     """
-    rho1 = _reduced_from_pure(amps, m, (fpos - 1,))
-    total = float(
-        4.0 * (rho1[0, 0] * rho1[1, 1] - rho1[0, 1] * rho1[1, 0]).real
-    )
-    if m == 2:
-        return total
-    others = tuple(p for p in range(1, m + 1) if p != fpos)
-    for level in range(2, m):
-        weight = factorial(level - 1) if permutation_weighted else 1
-        for combo in combinations(others, level - 1):
-            kept = tuple(sorted((fpos,) + combo))
-            mat = _reduced_from_pure(amps, m, tuple(p - 1 for p in kept))
-            if level == 2:
-                value = _concurrence_matrix(mat) ** 2
-            else:
-                rho = DensityOperator(kept, mat)
-                inner = _member_pure_functional(
-                    level, kept.index(fpos) + 1, config,
-                    permutation_weighted, convergence_log,
-                )
-                result = _roof_minimize(rho, fpos, combo, inner, config)
-                convergence_log.append(result.converged)
-                value = result.value
-            total -= weight * max(0.0, value) ** (level / 2)
-    return total
-
-
-def _member_pure_functional(m, fpos, config, permutation_weighted,
-                            convergence_log):
-    """Roof-member evaluator: normalized amplitude vector -> pure m-tangle."""
-
-    def pure_functional(amps: np.ndarray) -> float:
-        return _pure_m_tangle_amps(
-            np.asarray(amps, dtype=np.complex128), m, fpos, config,
-            permutation_weighted, convergence_log,
-        )
-
-    return pure_functional
+    one, terms = _hierarchy(amps, m, fpos, config, permutation_weighted)
+    convergence_log.extend(t.roof.converged for t in terms if t.roof is not None)
+    return _fold(one, terms)
 
 
 def mixed_tangle_term(state: StateVector, focus: int, partners, config,
@@ -246,23 +254,13 @@ def mixed_tangle_term(state: StateVector, focus: int, partners, config,
     """
     _check_focus(state, focus)
     partners = as_subset(partners)
-    kept = tuple(sorted((focus,) + partners.labels))
-    if len(kept) != len(partners.labels) + 1:
+    if focus in partners.labels:
         raise InputError("focus must not appear among partners")
-    if len(kept) >= state.num_qubits:
+    if len(partners) + 1 >= state.num_qubits:
         raise InputError("reduction must be a proper subsystem")
-    rho = reduce_pure_state(state, kept)
-    if len(kept) == 2:
-        return two_tangle(rho).value, None
-    convergence_log: list[bool] = []
-    pure_functional = _member_pure_functional(
-        len(kept), kept.index(focus) + 1, config, permutation_weighted,
-        convergence_log,
-    )
-    result = _roof_minimize(rho, focus, partners, pure_functional, config)
-    if not all(convergence_log):
-        result = dataclasses.replace(result, converged=False)
-    return result.value, result
+    check_labels_in_range(partners, state.num_qubits)
+    return _term(state.amplitudes, state.num_qubits, focus, partners.labels,
+                 config, permutation_weighted)
 
 
 def n_tangle_pure(state: StateVector, focus: int, partners, config,
@@ -270,7 +268,7 @@ def n_tangle_pure(state: StateVector, focus: int, partners, config,
     """Recursive n-tangle of a pure state with hub `focus`.
 
     one_tangle minus sum over m = 2 ... n-1 and over all focus-anchored
-    index vectors of the mixed m-tangle to the power m/2.  Reduces to the
+    partner subsets of the mixed m-tangle to the power m/2.  Reduces to the
     two-tangle for n = 2 and the usual three-tangle for n = 3.  With
     `permutation_weighted` each subset term is counted (m-1)! times
     (the permutation reading of ordered index vectors); the default counts
@@ -278,20 +276,9 @@ def n_tangle_pure(state: StateVector, focus: int, partners, config,
     tangles vanish.
     """
     _check_focus(state, focus)
-    partners = as_subset(partners)
     n = state.num_qubits
-    if set((focus,) + partners.labels) != set(range(1, n + 1)):
+    if set((focus,) + as_subset(partners).labels) != set(range(1, n + 1)):
         raise InputError("focus plus partners must cover every qubit exactly once")
-    total = one_tangle(state, focus).value
-    converged = True
-    for m in range(2, n):
-        weight = factorial(m - 1) if permutation_weighted else 1
-        for iv in enumerate_index_vectors(n, focus, m):
-            value, result = mixed_tangle_term(
-                state, focus, iv.partners, config,
-                permutation_weighted=permutation_weighted,
-            )
-            if result is not None:
-                converged = converged and result.converged
-            total -= weight * max(0.0, value) ** (m / 2)
-    return TangleValue(total, level=n, converged=converged)
+    one, terms = _state_hierarchy(state, focus, config, permutation_weighted)
+    converged = all(t.roof.converged for t in terms if t.roof is not None)
+    return TangleValue(_fold(one, terms), level=n, converged=converged)

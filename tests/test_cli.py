@@ -215,6 +215,18 @@ class TestSmCheck:
     def test_missing_source_exit_2(self, runner):
         result = invoke(runner, ["sm-check"])
         assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
+    def test_internal_failure_exit_2_labelled(self, runner, tmp_path,
+                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "sm_residual", broken)
+        result = invoke(runner, ["sm-check", "--wclass", "--n", "3", "--w",
+                                 "--out", str(tmp_path / "sm.json")])
+        assert result.exit_code == 2
+        assert "internal error: RuntimeError: boom" in result.stderr
 
 
 class TestBatch:

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -56,6 +57,14 @@ class TestCkwResidual:
             state = haar_random_state(3, 9000 + seed)
             assert ckw_residual(state, 1) >= -1e-9
 
+    def test_matches_sm_report_exactly(self):
+        # both residuals fold the same level-2 terms, bit for bit
+        for seed in range(2000):
+            state = haar_random_state(3, 20_000 + seed)
+            for focus in (1, 2, 3):
+                assert ckw_residual(state, focus) == sm_residual(
+                    state, focus, CFG).ckw_residual
+
 
 class TestSmResidual:
     def test_w3(self, w3):
@@ -86,6 +95,15 @@ class TestSmResidual:
         assert not report.saturated_sm
         assert not report.sm_violation
         assert max_m3plus_term(report) <= 1e-9
+
+    def test_terms_cover_partner_subsets_in_order(self):
+        report = sm_residual(wclass_state(wclass_random(5, 13)), 2, CFG)
+        partners = [t.partners for t in report.terms]
+        expected = [combo for size in (1, 2, 3)
+                    for combo in combinations((1, 3, 4, 5), size)]
+        assert partners == expected
+        assert len(partners) == len(set(partners)) == 14
+        assert [t.m for t in report.terms] == [len(p) + 1 for p in expected]
 
     def test_matches_recursive_n_tangle(self):
         for state in (

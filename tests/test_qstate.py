@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from monotangle.qstate import (
     InvalidStateError,
     QubitSubset,
     StateVector,
+    _reduced_from_pure,
     as_subset,
     density_from_dict,
     density_from_pure,
@@ -155,6 +157,18 @@ class TestPartialTrace:
         assert_allclose(reduced.matrix, expected, atol=1e-12)
         fast = reduce_pure_state(state, keep)
         assert_allclose(fast.matrix, expected, atol=1e-12)
+
+    def test_raw_fast_path_matches_every_subset(self):
+        # the tangle recursion reduces raw amplitudes without validation,
+        # including keep = every qubit
+        state = random_pure_state(4, 77)
+        rho = density_from_pure(state)
+        for size in range(1, 5):
+            for keep in combinations((1, 2, 3, 4), size):
+                raw = _reduced_from_pure(
+                    state.amplitudes, 4, tuple(l - 1 for l in keep))
+                assert_allclose(raw, partial_trace(rho, keep).matrix,
+                                atol=1e-14)
 
     def test_keep_not_subset_rejected(self, bell_state):
         with pytest.raises(InputError):

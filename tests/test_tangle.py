@@ -11,14 +11,12 @@ from monotangle.qstate import (
 )
 from monotangle.roof import RoofConfig
 from monotangle.tangle import (
-    IndexVector,
     TangleValue,
     concurrence_2q,
-    enumerate_index_vectors,
+    mixed_tangle_term,
     n_tangle_pure,
     one_tangle,
     pure_functional_2q,
-    pure_tangle_bipartite,
     two_tangle,
 )
 from .conftest import permute_qubits, random_pure_state
@@ -105,7 +103,7 @@ class TestTwoTangle:
     def test_pure_state_matches_bipartite_tangle(self, seed):
         state = random_pure_state(2, 400 + seed)
         assert two_tangle(density_from_pure(state)).value == pytest.approx(
-            pure_tangle_bipartite(state, 1).value, abs=1e-10
+            one_tangle(state, 1).value, abs=1e-10
         )
 
 
@@ -115,7 +113,7 @@ class TestPureTangleBipartite:
         state = ket_from_basis_terms(
             2, [("00", np.sqrt(1 - t)), ("11", np.sqrt(t))]
         )
-        assert pure_tangle_bipartite(state, 1).value == pytest.approx(
+        assert one_tangle(state, 1).value == pytest.approx(
             4 * t * (1 - t), abs=1e-12
         )
 
@@ -124,58 +122,25 @@ class TestPureTangleBipartite:
         state = ket_from_basis_terms(
             2, [("00", 2 ** -0.5), ("10", 0.5), ("01", 0.5)]
         )
-        assert pure_tangle_bipartite(state, 1).value == pytest.approx(
+        assert one_tangle(state, 1).value == pytest.approx(
             0.25, abs=1e-12
         )
 
     def test_product_state_zero(self):
         state = ket_from_basis_terms(3, [("011", 1)])
-        assert pure_tangle_bipartite(state, 1).value == 0.0
+        assert one_tangle(state, 1).value == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_leaf_functional_agrees(self, seed):
         state = random_pure_state(2, 500 + seed)
         amps = state.amplitudes
         assert pure_functional_2q(amps) == pytest.approx(
-            pure_tangle_bipartite(state, 1).value, abs=1e-12
+            one_tangle(state, 1).value, abs=1e-12
         )
         q = pure_functional_2q.sqrt_form
         assert abs(amps @ (q @ amps)) == pytest.approx(
             np.sqrt(pure_functional_2q(amps)), abs=1e-12
         )
-
-
-class TestEnumerateIndexVectors:
-    def test_level_two_of_four(self):
-        vectors = enumerate_index_vectors(4, 1, 2)
-        assert [iv.partners for iv in vectors] == [(2,), (3,), (4,)]
-
-    def test_level_three_of_four(self):
-        vectors = enumerate_index_vectors(4, 1, 3)
-        assert [iv.partners for iv in vectors] == [(2, 3), (2, 4), (3, 4)]
-
-    def test_total_count_five_qubits(self):
-        total = sum(len(enumerate_index_vectors(5, 1, m)) for m in (2, 3, 4))
-        assert total == 14
-
-    def test_covers_proper_subsets_once(self):
-        seen = set()
-        for m in range(2, 5):
-            for iv in enumerate_index_vectors(5, 2, m):
-                assert iv.partners not in seen
-                seen.add(iv.partners)
-        from itertools import combinations
-
-        expected = set()
-        for size in (1, 2, 3):
-            expected.update(combinations((1, 3, 4, 5), size))
-        assert seen == expected
-
-    def test_level_out_of_range(self):
-        with pytest.raises(InputError):
-            enumerate_index_vectors(4, 1, 4)
-        with pytest.raises(InputError):
-            enumerate_index_vectors(4, 1, 1)
 
 
 class TestNTanglePure:
@@ -216,8 +181,6 @@ class TestNTanglePure:
         assert weighted.value == pytest.approx(default, abs=1e-9)
 
     def test_permutation_weighting_changes_generic_value(self):
-        from monotangle.tangle import mixed_tangle_term
-
         tiny = RoofConfig(seed=5, restarts=1, max_sweeps=4, tol=1e-6)
         state = random_pure_state(4, 4242)
         plain = n_tangle_pure(state, 1, (2, 3, 4), tiny).value
@@ -226,8 +189,8 @@ class TestNTanglePure:
         ).value
         # weight (m-1)! = 2 doubles every three-qubit term
         three_part = sum(
-            max(0.0, mixed_tangle_term(state, 1, iv.partners, tiny)[0]) ** 1.5
-            for iv in enumerate_index_vectors(4, 1, 3)
+            max(0.0, mixed_tangle_term(state, 1, partners, tiny)[0]) ** 1.5
+            for partners in ((2, 3), (2, 4), (3, 4))
         )
         assert three_part > 1e-4
         assert weighted == pytest.approx(plain - three_part, abs=1e-12)
@@ -240,11 +203,3 @@ class TestValueTypes:
         with pytest.raises(InputError):
             TangleValue(-0.5, level=1)
         TangleValue(-0.5, level=3)  # higher levels may be negative
-
-    def test_index_vector_validation(self):
-        with pytest.raises(InputError):
-            IndexVector(1, ())
-        with pytest.raises(InputError):
-            IndexVector(1, (1, 2))
-        with pytest.raises(InputError):
-            IndexVector(1, (3, 2))
