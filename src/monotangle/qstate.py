@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * A density operator carries the ordered tuple of labels it acts on; the
   first label in the tuple is the most significant bit of its matrix
   indices.
+* Reshaped to (2,) * n, an amplitude vector has one axis per qubit in
+  label order, and a density matrix on k labels has k row axes followed
+  by k column axes.  Reductions permute and contract these axes.
 * Everything is stored dense (complex128), capped at MAX_QUBITS qubits.
 """
 
@@ -35,26 +38,15 @@ class InvalidStateError(InputError):
 
 
 # ---------------------------------------------------------------------------
-# bit bookkeeping
-
-
-def _place_bits(values, positions, total_qubits):
-    """Spread the bits of `values` across `positions` of a full index.
-
-    `values` is interpreted MSB-first over `positions` (0-based positions
-    into a label tuple); position p maps to index bit (total_qubits-1-p).
-    """
-    values = np.asarray(values)
-    out = np.zeros_like(values)
-    width = len(positions)
-    for t, pos in enumerate(positions):
-        bit = (values >> (width - 1 - t)) & 1
-        out = out | (bit << (total_qubits - 1 - pos))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # domain types
+
+
+def check_num_qubits(num_qubits: int) -> None:
+    """Reject qubit counts outside [1, MAX_QUBITS] before anything is allocated."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise InputError(
+            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +62,7 @@ class StateVector:
     renormalized: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise InputError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}"
-            )
+        check_num_qubits(self.num_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.num_qubits,):
             raise InvalidStateError(
@@ -182,8 +171,7 @@ def ket_from_basis_terms(num_qubits: int, terms) -> StateVector:
     normalized: inputs whose squared norm is off by more than NORM_TOL are
     rescaled and flagged via StateVector.renormalized.
     """
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise InputError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+    check_num_qubits(num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     seen = set()
     for bits, coeff in terms:
@@ -198,6 +186,7 @@ def ket_from_basis_terms(num_qubits: int, terms) -> StateVector:
 
 def haar_random_state(num_qubits: int, seed: int) -> StateVector:
     """Haar-random pure state: normalized i.i.d. complex Gaussian amplitudes."""
+    check_num_qubits(num_qubits)
     rng = np.random.default_rng(seed)
     dim = 1 << num_qubits
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -219,11 +208,10 @@ def density_from_pure(state: StateVector) -> DensityOperator:
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     """Trace out every label of `rho` not in `keep`.
 
-    Implemented as an explicit sum over the traced-out computational basis:
-    for each environment bit pattern the corresponding submatrix of `rho`
-    is gathered through precomputed index maps and accumulated.  No
-    reshape/transpose tricks, so the result is convention-independent and
-    easy to check against a brute-force oracle.
+    The matrix is viewed as one axis of size 2 per row qubit and per column
+    qubit, in label order.  Row and column axes are permuted alike, kept
+    labels first, and the environment block is traced:
+    rho_keep[i, j] = sum_e rho[(i, e), (j, e)].
     """
     keep = as_subset(keep)
     labels = rho.qubit_labels
@@ -233,34 +221,29 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     k = len(labels)
     keep_pos = tuple(labels.index(l) for l in keep.labels)
     env_pos = tuple(p for p in range(k) if p not in keep_pos)
-    dim_keep = 1 << len(keep_pos)
-    base = _place_bits(np.arange(dim_keep), keep_pos, k)
-    out = np.zeros((dim_keep, dim_keep), dtype=np.complex128)
-    if env_pos:
-        for env in range(1 << len(env_pos)):
-            idx = base + int(_place_bits(env, env_pos, k))
-            out += rho.matrix[np.ix_(idx, idx)]
-    else:
-        out = rho.matrix[np.ix_(base, base)].copy()
-    return DensityOperator(keep.labels, out)
+    order = keep_pos + env_pos
+    dim_keep, dim_env = 1 << len(keep_pos), 1 << len(env_pos)
+    blocks = (rho.matrix.reshape((2,) * 2 * k)
+              .transpose(order + tuple(k + p for p in order))
+              .reshape(dim_keep, dim_env, dim_keep, dim_env))
+    return DensityOperator(keep.labels, np.trace(blocks, axis1=1, axis2=3))
 
 
 def _reduced_from_pure(amps: np.ndarray, num_qubits: int, keep_positions) -> np.ndarray:
     """Reduced density matrix of a pure state, as a raw array.
 
     `keep_positions` are 0-based positions (label l sits at position l-1).
-    Fast path used by the tangle functionals; equivalent to building the
-    projector and calling partial_trace, which the tests verify.
+    The amplitudes, viewed as one axis per qubit, are permuted so the kept
+    positions lead; the result is sub @ sub^dagger of the (kept, rest)
+    matrix.  Fast path used by the tangle functionals; equivalent to
+    building the projector and calling partial_trace, which the tests
+    verify.
     """
     keep_positions = tuple(keep_positions)
     env = tuple(p for p in range(num_qubits) if p not in keep_positions)
-    dim_keep = 1 << len(keep_positions)
-    dim_env = 1 << len(env)
-    rows = (
-        _place_bits(np.arange(dim_keep), keep_positions, num_qubits)[:, None]
-        | _place_bits(np.arange(dim_env), env, num_qubits)[None, :]
-    )
-    sub = amps[rows]  # (dim_keep, dim_env)
+    sub = (amps.reshape((2,) * num_qubits)
+           .transpose(keep_positions + env)
+           .reshape(1 << len(keep_positions), -1))
     return sub @ sub.conj().T
 
 
@@ -293,8 +276,7 @@ def state_from_dict(data: dict) -> StateVector:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed state record: {exc}") from exc
-    if not 1 <= n <= MAX_QUBITS:
-        raise InputError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
+    check_num_qubits(n)
     if amps.shape != (1 << n,):
         raise InputError(
             f"expected {1 << n} amplitudes for {n} qubits, got {len(amps)}"

@@ -35,16 +35,10 @@ from .qstate import (
 )
 from .roof import RoofResult, m_tangle_mixed as _roof_minimize
 
-# spin-flip operator sigma_y (x) sigma_y; fixed convention for concurrence
-SIGMA_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=np.complex128,
-)
+# sy x sy is antidiagonal with entries (-1, 1, 1, -1), so the spin flip
+# (sy x sy) M (sy x sy) reverses the rows and columns of M and applies
+# these signs; fixed convention for concurrence
+_FLIP_SIGNS = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
 
 _EIG_FLOOR = 1e-14      # spin-flip eigenvalues below this count as zero
 _VALUE_NOISE = 1e-10    # tangles may undershoot 0 / overshoot 1 by this much
@@ -100,7 +94,7 @@ def one_tangle(state: StateVector, focus: int) -> TangleValue:
 
 def _concurrence_matrix(mat: np.ndarray) -> float:
     """Concurrence of a two-qubit density matrix given as a raw 4x4 array."""
-    flipped = SIGMA_YY @ mat.conj() @ SIGMA_YY
+    flipped = _FLIP_SIGNS * mat[::-1, ::-1].conj()
     ev = np.linalg.eigvals(mat @ flipped).real
     ev[ev < _EIG_FLOOR] = 0.0
     lam = np.sort(np.sqrt(ev))[::-1]
@@ -263,7 +257,7 @@ def mixed_tangle_term(state: StateVector, focus: int, partners, config,
                  config, permutation_weighted)
 
 
-def n_tangle_pure(state: StateVector, focus: int, partners, config,
+def n_tangle_pure(state: StateVector, focus: int, config,
                   permutation_weighted: bool = False) -> TangleValue:
     """Recursive n-tangle of a pure state with hub `focus`.
 
@@ -275,10 +269,7 @@ def n_tangle_pure(state: StateVector, focus: int, partners, config,
     each subset once, which is equivalent for any state whose m >= 3
     tangles vanish.
     """
-    _check_focus(state, focus)
-    n = state.num_qubits
-    if set((focus,) + as_subset(partners).labels) != set(range(1, n + 1)):
-        raise InputError("focus plus partners must cover every qubit exactly once")
     one, terms = _state_hierarchy(state, focus, config, permutation_weighted)
     converged = all(t.roof.converged for t in terms if t.roof is not None)
-    return TangleValue(_fold(one, terms), level=n, converged=converged)
+    return TangleValue(_fold(one, terms), level=state.num_qubits,
+                       converged=converged)

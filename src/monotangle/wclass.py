@@ -24,6 +24,7 @@ from .qstate import (
     StateVector,
     as_subset,
     check_labels_in_range,
+    check_num_qubits,
 )
 from .tangle import TangleValue
 
@@ -41,6 +42,7 @@ class WClassParams:
         b = np.array(self.b, dtype=np.complex128)
         if b.ndim != 1 or len(b) < 2:
             raise InputError("b must be a vector of length n >= 2")
+        check_num_qubits(len(b))
         total = abs(self.a) ** 2 + float(np.sum(np.abs(b) ** 2))
         if abs(total - 1.0) > _NORM_TOL:
             raise InputError(f"coefficients not normalized: weight {total!r}")

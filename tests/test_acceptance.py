@@ -222,7 +222,7 @@ def test_c6_ckw_on_haar_states(c6_states, ghz3):
         assert residual >= -1e-9
     ghz_res = ckw_residual(ghz3, 1)
     assert ghz_res == pytest.approx(1.0, abs=1e-9)
-    ghz_tangle = n_tangle_pure(ghz3, 1, (2, 3), C1_CFG).value
+    ghz_tangle = n_tangle_pure(ghz3, 1, C1_CFG).value
     assert ghz_tangle == pytest.approx(1.0, abs=1e-9)
     print(f"\n[C6] PASS: 500 Haar states, min ckw_residual = {worst:.2e} "
           f"(bound -1e-9); GHZ residual = {ghz_res:.12f}, "

@@ -77,6 +77,12 @@ class TestWclassGen:
                                  str(tmp_path / "x.json")])
         assert result.exit_code == 2
 
+    def test_too_many_qubits_is_input_error(self, runner, tmp_path):
+        result = invoke(runner, ["wclass-gen", "--n", "64", "--w", "--out",
+                                 str(tmp_path / "x.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
 
 class TestTangle:
     def test_ghz3_hierarchy(self, runner, tmp_path, ghz3):

@@ -111,9 +111,8 @@ class TestSmResidual:
             ghz(4),
             haar_random_state(3, 314),
         ):
-            partners = tuple(range(2, state.num_qubits + 1))
             report = sm_residual(state, 1, CFG_SMALL)
-            recursive = n_tangle_pure(state, 1, partners, CFG_SMALL)
+            recursive = n_tangle_pure(state, 1, CFG_SMALL)
             assert report.sm_residual == pytest.approx(
                 recursive.value, abs=1e-9
             )

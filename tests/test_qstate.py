@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from monotangle.qstate import (
+    DensityOperator,
     InputError,
     InvalidStateError,
     QubitSubset,
@@ -157,6 +158,17 @@ class TestPartialTrace:
         assert_allclose(reduced.matrix, expected, atol=1e-12)
         fast = reduce_pure_state(state, keep)
         assert_allclose(fast.matrix, expected, atol=1e-12)
+        # the same matrix on permuted, non-contiguous labels such as
+        # (3, 1, 4), reduced onto every keep set
+        labels = tuple(rng.permutation(np.arange(1, 2 * n + 1))[:n].tolist())
+        relabeled = DensityOperator(labels, rho.matrix)
+        for size in range(1, n + 1):
+            for keep in combinations(sorted(labels), size):
+                assert_allclose(
+                    partial_trace(relabeled, keep).matrix,
+                    oracle_partial_trace(rho.matrix, labels, keep),
+                    atol=1e-12,
+                )
 
     def test_raw_fast_path_matches_every_subset(self):
         # the tangle recursion reduces raw amplitudes without validation,
@@ -289,6 +301,12 @@ class TestHaarRandom:
         a = haar_random_state(3, 123)
         b = haar_random_state(3, 123)
         assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    @pytest.mark.parametrize("n", [64, -1])
+    def test_out_of_range_qubit_count_rejected(self, n):
+        # checked before numpy sees the size
+        with pytest.raises(InputError):
+            haar_random_state(n, 0)
 
     def test_normalized(self):
         state = haar_random_state(4, 7)

@@ -76,6 +76,22 @@ class TestConcurrence:
 
         assert concurrence_2q(random_mixed_2q(seed)) >= 0.0
 
+    def test_matches_textbook_spin_flip(self):
+        # Wootters' recipe written out with sy (x) sy matrix products, the
+        # same 1e-14 eigenvalue floor and a sort; ranks 1-4, exact equality
+        from .conftest import random_mixed_2q
+
+        sy = np.array([[0, -1j], [1j, 0]])
+        yy = np.kron(sy, sy)
+        for seed in range(2000):
+            rho = random_mixed_2q(seed)
+            mat = rho.matrix
+            ev = np.linalg.eigvals(mat @ (yy @ mat.conj() @ yy)).real
+            ev[ev < 1e-14] = 0.0
+            lam = np.sort(np.sqrt(ev))[::-1]
+            expected = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+            assert concurrence_2q(rho) == expected, seed
+
 
 class TestTwoTangle:
     def test_bell_is_one(self, bell_state):
@@ -145,17 +161,17 @@ class TestPureTangleBipartite:
 
 class TestNTanglePure:
     def test_bell_reduces_to_two_tangle(self, bell_state):
-        result = n_tangle_pure(bell_state, 1, (2,), CFG)
+        result = n_tangle_pure(bell_state, 1, CFG)
         assert result.value == pytest.approx(1.0, abs=1e-12)
         assert result.level == 2
 
     def test_ghz_three_tangle(self, ghz3):
-        assert n_tangle_pure(ghz3, 1, (2, 3), CFG).value == pytest.approx(
+        assert n_tangle_pure(ghz3, 1, CFG).value == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_w_three_tangle_vanishes(self, w3):
-        assert abs(n_tangle_pure(w3, 1, (2, 3), CFG).value) <= 1e-9
+        assert abs(n_tangle_pure(w3, 1, CFG).value) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_term_by_term_oracle(self, seed):
@@ -165,28 +181,23 @@ class TestNTanglePure:
         expected = one_tangle(state, 1).value
         for j in (2, 3):
             expected -= concurrence_2q(partial_trace(rho, (1, j))) ** 2
-        assert n_tangle_pure(state, 1, (2, 3), CFG).value == pytest.approx(
+        assert n_tangle_pure(state, 1, CFG).value == pytest.approx(
             expected, abs=1e-9
         )
-
-    def test_partners_must_cover(self, ghz3):
-        with pytest.raises(InputError):
-            n_tangle_pure(ghz3, 1, (2,), CFG)
 
     def test_permutation_weighted_reading(self, w3):
         # all m >= 3 terms vanish for single-excitation states, so both
         # readings agree there; on generic states they differ at m >= 3
-        default = n_tangle_pure(w3, 1, (2, 3), CFG).value
-        weighted = n_tangle_pure(w3, 1, (2, 3), CFG, permutation_weighted=True)
+        default = n_tangle_pure(w3, 1, CFG).value
+        weighted = n_tangle_pure(w3, 1, CFG, permutation_weighted=True)
         assert weighted.value == pytest.approx(default, abs=1e-9)
 
     def test_permutation_weighting_changes_generic_value(self):
         tiny = RoofConfig(seed=5, restarts=1, max_sweeps=4, tol=1e-6)
         state = random_pure_state(4, 4242)
-        plain = n_tangle_pure(state, 1, (2, 3, 4), tiny).value
-        weighted = n_tangle_pure(
-            state, 1, (2, 3, 4), tiny, permutation_weighted=True
-        ).value
+        plain = n_tangle_pure(state, 1, tiny).value
+        weighted = n_tangle_pure(state, 1, tiny,
+                                 permutation_weighted=True).value
         # weight (m-1)! = 2 doubles every three-qubit term
         three_part = sum(
             max(0.0, mixed_tangle_term(state, 1, partners, tiny)[0]) ** 1.5

@@ -45,6 +45,10 @@ class TestWClassState:
         with pytest.raises(InputError):
             WClassParams(0.9, np.array([0.9, 0.9]))
 
+    def test_too_many_qubits_rejected(self):
+        with pytest.raises(InputError):
+            wclass_state(WClassParams(0.0, np.full(64, 0.125)))
+
 
 class TestWClassRandom:
     def test_deterministic(self):
