@@ -4,7 +4,8 @@ Subcommands: wclass-gen, tangle, ckw-check, sm-check, batch.
 
 Exit codes are total: 0 success, 2 input error, 3 strong-monogamy
 violation candidate (residual below -tolerance).  A failure that is not an
-input error also exits 2, but its stderr line reads "internal error:".
+input error also exits 2, but its stderr line reads "internal error:",
+followed by the traceback.
 Primary outputs (state files, report JSON, batch CSV) are byte-identical
 for identical command lines and seeds; wall-clock timings therefore go to
 the human summary on stderr, and the manifest embedded in file outputs
@@ -20,6 +21,7 @@ import os
 import shlex
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import click
@@ -137,6 +139,7 @@ def _run(body):
         raise
     except Exception as exc:  # contract allows no other codes
         _summary(f"internal error: {type(exc).__name__}: {exc}")
+        click.echo(traceback.format_exc(), err=True, nl=False)
         sys.exit(EXIT_INPUT)
 
 

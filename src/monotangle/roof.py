@@ -7,6 +7,14 @@ through an R x R unitary mixing, so the search space is the unitary group:
 the optimizer walks it with successive two-row Givens rotations, refining
 each rotation angle by golden section, from several seeded starts.
 
+Leaves whose square root is 2 |P|^(2/d) for a homogeneous polynomial P of
+degree d -- the two-tangle (d = 2) and the Cayley-hyperdeterminant
+three-tangle (d = 4) -- expose (d, P) as a `polynomial` attribute.  For
+them a pair rotation is a binary form in (cos t, e^{i f} sin t) with
+d + 1 coefficients, recovered by one FFT, which makes a dense angle scan
+and the refinement profile cheap.  Other leaves (the recursive m >= 4
+tangles) are evaluated member by member on a coarse grid.
+
 The searched minimum is an upper bound on the true roof; it is exact for
 the workloads the package certifies (two-qubit tangles against the
 concurrence closed form, and reductions whose members all have zero
@@ -15,8 +23,10 @@ tangle, where the objective is identically zero).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,13 +48,9 @@ _THETA_HALF = math.pi / 8.0
 _PHI_HALF = math.pi / 4.0
 _UNITARITY_TOL = 1e-10
 
-# dense (2 theta, phi) scan grid for the quadratic-leaf pair step
-_QTH = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 32, endpoint=False)
-_QC2 = np.cos(2.0 * _QTH)
-_QS2 = np.sin(2.0 * _QTH)
-_QPH = np.linspace(0.0, math.pi, 16, endpoint=False)
-_QU = np.exp(1j * _QPH)
-_QU2 = _QU * _QU
+# dense (theta, phi) scan grid for the polynomial-leaf pair step
+_SCAN_THETA = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 32, endpoint=False)
+_SCAN_PHI = np.linspace(0.0, math.pi, 16, endpoint=False)
 
 # A roof value certified at or below this is a zero: the objective is a sum
 # of nonnegative contributions, so no decomposition can do better.
@@ -142,7 +148,8 @@ class RoofResult:
         the best decomposition found.
     min_pure_tangle_seen: smallest raw pure tangle evaluated anywhere in
         the search, before clamping; significantly negative values are
-        evidence worth surfacing, not errors.
+        evidence worth surfacing, not errors.  Polynomial leaves (levels
+        2 and 3) are moduli, so there it is never negative.
     """
 
     value: float
@@ -230,24 +237,25 @@ def _golden_min(f, lo: float, hi: float, xtol: float):
 class _Objective:
     """Decomposition objective sum_h p_h sqrt(max(0, tau_h)).
 
-    When the pure functional exposes a `sqrt_form` matrix Q (meaning
-    sqrt(tau(v)) = |v^T Q v| on normalized v), contributions reduce to
-    |row^T Q row| on unnormalized rows, and pair rotations admit an
-    analytic one-dimensional profile; the optimizer exploits both.
+    When the pure functional exposes a `polynomial` attribute (d, P), with
+    P homogeneous of degree d and sqrt(tau(v)) = 2 |P(v)|^(2/d) on
+    normalized v, the contribution of an unnormalized row is
+    2 |P(row)|^(2/d), and pair rotations admit a closed-form profile
+    (:func:`_binary_form`); the optimizer exploits both.
     """
 
     def __init__(self, pure_functional):
         self._pf = pure_functional
-        self.quad = getattr(pure_functional, "sqrt_form", None)
+        self.poly = getattr(pure_functional, "polynomial", None)
         self.min_tau = math.inf
 
     def contribution(self, row: np.ndarray) -> float:
         p = float(np.vdot(row, row).real)
         if p < PROB_FLOOR:
             return 0.0
-        if self.quad is not None:
-            amp = row @ (self.quad @ row)
-            value = abs(amp)
+        if self.poly is not None:
+            d, poly = self.poly
+            value = 2.0 * abs(poly(row)) ** (2.0 / d)
             tau = (value / p) ** 2
             if tau < self.min_tau:
                 self.min_tau = tau
@@ -256,6 +264,63 @@ class _Objective:
         if tau < self.min_tau:
             self.min_tau = tau
         return p * math.sqrt(tau) if tau > 0.0 else 0.0
+
+
+def _binary_form(d: int, poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients A_0 ... A_d of the binary form P(x + z y) = sum A_k z^k.
+
+    P is evaluated at the d + 1 roots of unity z = w^l, which is an inverse
+    DFT of the coefficients, so one FFT recovers them.  By homogeneity the
+    rotated rows are
+        P(c x + e s y) = sum_k A_k c^(d-k) (e s)^k
+        P(c y - e* s x) = sum_k A_k c^k (-e* s)^(d-k)
+    for c = cos(t), s = sin(t), e = e^{i f}: row j reads the same
+    coefficients in reverse order.
+    """
+    roots = np.exp(2j * math.pi * np.arange(d + 1) / (d + 1))
+    return np.fft.fft(poly(x[None, :] + roots[:, None] * y[None, :])) / (d + 1)
+
+
+def _pair_profile(d: int, coeffs: np.ndarray):
+    """Objective sum_rows |form|^(2/d) of both rotated rows, given (t, f).
+
+    Both forms are homogeneous Horner sums over the binary-form
+    coefficients (row j reads them reversed), sharing the powers of cos(t).
+    """
+    coeffs = coeffs.tolist()
+    expo = 2.0 / d
+    top, bottom = coeffs[d], coeffs[0]
+    pairs = tuple(zip(coeffs[d - 1::-1], coeffs[1:]))
+
+    def pair_obj(theta: float, phi: float) -> float:
+        c = math.cos(theta)
+        es = cmath.rect(math.sin(theta), phi)
+        ws = -es.conjugate()
+        fi = top
+        fj = bottom
+        cp = 1.0
+        for ai, aj in pairs:
+            cp *= c
+            fi = fi * es + ai * cp
+            fj = fj * ws + aj * cp
+        return abs(fi) ** expo + abs(fj) ** expo
+
+    return pair_obj
+
+
+@lru_cache(maxsize=None)
+def _scan_table(d: int) -> np.ndarray:
+    """Monomials of the binary forms of both rows on the dense (t, f) grid.
+
+    Row g of the first half holds c^(d-k) (e s)^k and of the second half
+    c^k (-e* s)^(d-k), for grid point g = (index of t) * len(_SCAN_PHI) +
+    (index of f), so that table @ coefficients is P on both rotated rows.
+    """
+    c = np.repeat(np.cos(_SCAN_THETA), len(_SCAN_PHI))[:, None]
+    es = np.outer(np.sin(_SCAN_THETA), np.exp(1j * _SCAN_PHI)).reshape(-1, 1)
+    k = np.arange(d + 1)[None, :]
+    return np.vstack([c ** (d - k) * es ** k,
+                      c ** k * (-es.conj()) ** (d - k)])
 
 
 def _apply_rotation(M, U, i, j, theta: float, phi: float) -> None:
@@ -299,9 +364,12 @@ def _pair_step(M, U, w, i, j, objective) -> None:
     The rotation with angle t and phase f sends
         row_i -> cos(t) row_i + e^{i f} sin(t) row_j
         row_j -> cos(t) row_j - e^{-i f} sin(t) row_i.
-    Only the two touched rows change the objective, so each trial costs two
-    member evaluations.  A coarse (t, f) grid seeds golden-section
-    refinement of each angle in turn.
+    Only the two touched rows change the objective.  For a polynomial leaf
+    of degree d both rotated contributions are moduli of binary forms in
+    (cos t, e^{i f} sin t) with d + 1 shared coefficients, so a dense
+    (t, f) grid scan is one small matrix product.  Other leaves cost two
+    member evaluations per trial and are scanned on a coarse grid.  Either
+    grid seeds golden-section refinement of each angle in turn.
     """
     current = w[i] + w[j]
     if current <= 0.0:
@@ -309,43 +377,22 @@ def _pair_step(M, U, w, i, j, objective) -> None:
     vi = M[i].copy()
     vj = M[j].copy()
 
-    if objective.quad is not None:
-        # sqrt(tau) is |v^T Q v|: the two rotated contributions are moduli
-        # of a + b cos(2t) + c sin(2t) profiles, fixed by three scalars,
-        # so a dense (t, f) scan costs a few short numpy operations.
-        qvi = objective.quad @ vi
-        qvj = objective.quad @ vj
-        a = vi @ qvi
-        b = vj @ qvj
-        cross = 2.0 * (vi @ qvj)
-
-        def pair_obj(theta: float, phi: float) -> float:
-            co = math.cos(theta)
-            si = math.sin(theta)
-            eip = complex(math.cos(phi), math.sin(phi))
-            es = eip * si
-            return (abs(co * co * a + es * es * b + co * es * cross)
-                    + abs(co * co * b + (es * es).conjugate() * a
-                          - co * es.conjugate() * cross))
-
-        fwd = 0.5 * (a + _QU2 * b)
-        fwd_c2 = 0.5 * (a - _QU2 * b)
-        fwd_s2 = 0.5 * (_QU * cross)
-        rev = 0.5 * (b + _QU2.conj() * a)
-        rev_c2 = 0.5 * (b - _QU2.conj() * a)
-        rev_s2 = -0.5 * (_QU.conj() * cross)
-        grid = (np.abs(fwd[None, :] + _QC2[:, None] * fwd_c2[None, :]
-                       + _QS2[:, None] * fwd_s2[None, :])
-                + np.abs(rev[None, :] + _QC2[:, None] * rev_c2[None, :]
-                         + _QS2[:, None] * rev_s2[None, :]))
+    if objective.poly is not None:
+        d, poly = objective.poly
+        # scaled so that |form|^(2/d) is the contribution 2 |P|^(2/d)
+        coeffs = 2.0 ** (d / 2) * _binary_form(d, poly, vi, vj)
+        pair_obj = _pair_profile(d, coeffs)
+        rows = np.abs(_scan_table(d) @ coeffs) ** (2.0 / d)
+        half = len(rows) // 2
+        grid = rows[:half] + rows[half:]
         flat = int(np.argmin(grid))
-        theta = float(_QTH[flat // len(_QPH)])
-        phi = float(_QPH[flat % len(_QPH)])
-        best = float(grid.flat[flat])
+        theta = float(_SCAN_THETA[flat // len(_SCAN_PHI)])
+        phi = float(_SCAN_PHI[flat % len(_SCAN_PHI)])
+        best = float(grid[flat])
         if best >= current:
             theta, phi, best = 0.0, 0.0, current
-        th_half = float(_QTH[1] - _QTH[0])
-        ph_half = float(_QPH[1] - _QPH[0])
+        th_half = float(_SCAN_THETA[1] - _SCAN_THETA[0])
+        ph_half = float(_SCAN_PHI[1] - _SCAN_PHI[0])
     else:
         def pair_obj(theta: float, phi: float) -> float:
             c = math.cos(theta)
@@ -434,8 +481,8 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
         obj, clean = _descend(M, U, w, objective, config)
         restart_best, restart_mix = obj, U.copy()
         # generic functionals pay real money per evaluation; lean on
-        # restarts there and keep the kick escape for cheap quad leaves
-        kicks = _KICKS if objective.quad is not None else 1
+        # restarts there and keep the kick escape for polynomial leaves
+        kicks = _KICKS if objective.poly is not None else 1
         for _ in range(kicks):
             if obj * obj <= EARLY_STOP_VALUE or r < 2:
                 break

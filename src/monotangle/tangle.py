@@ -9,8 +9,10 @@ focus-containing reductions raised to the power m/2, for m = 2 ... n-1.
 That (level, subset) hierarchy is written once, on raw amplitudes:
 :func:`_hierarchy` lists the terms and :func:`_term` evaluates one of
 them -- the concurrence closed form for m = 2, a convex roof delegated to
-:mod:`monotangle.roof` for m >= 3, whose members are evaluated by the
-leaf :func:`_pure_m_tangle_amps`, itself a fold over :func:`_hierarchy`.
+:mod:`monotangle.roof` for m >= 3.  The roof's members are evaluated by
+the Cayley-hyperdeterminant leaf :func:`pure_three_tangle` for m = 3 and
+by :func:`_pure_m_tangle_amps`, itself a fold over :func:`_hierarchy`,
+for m >= 4.
 :func:`n_tangle_pure`, :func:`mixed_tangle_term` and the residuals in
 :mod:`monotangle.monogamy` are folds over the same two functions.
 """
@@ -124,27 +126,49 @@ def two_tangle(rho) -> TangleValue:
     return TangleValue(c * c, level=2)
 
 
+def _two_qubit_det(amps: np.ndarray):
+    """a00 a11 - a01 a10, vectorised over the last axis."""
+    return amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2]
+
+
 def pure_functional_2q(amps: np.ndarray) -> float:
     """Level-2 roof leaf: tangle of a normalized two-qubit pure state.
 
     4 det rho_A = 4 |a00 a11 - a01 a10|^2, cheap enough for optimizer
     inner loops.
     """
-    d = amps[0] * amps[3] - amps[1] * amps[2]
+    d = _two_qubit_det(amps)
     return 4.0 * (d.real * d.real + d.imag * d.imag)
 
 
-# sqrt of the leaf is |v^T Q v| with this symmetric Q; the roof optimizer
-# uses it for analytic pair-rotation profiles
-pure_functional_2q.sqrt_form = np.array(
-    [
-        [0, 0, 0, 1],
-        [0, 0, -1, 0],
-        [0, -1, 0, 0],
-        [1, 0, 0, 0],
-    ],
-    dtype=np.complex128,
-)
+def _cayley(amps: np.ndarray):
+    """Cayley's hyperdeterminant of three-qubit amplitudes (last axis).
+
+    With the 2x2 slices A0 = a[0jk] and A1 = a[1jk] of the first qubit,
+    det(x A0 + y A1) = x^2 det A0 + x y b + y^2 det A1 is a binary
+    quadratic form, and the hyperdeterminant is its discriminant.
+    """
+    a000, a001, a010, a011, a100, a101, a110, a111 = (
+        amps[..., k] for k in range(8))
+    b = a000 * a111 - a001 * a110 + a100 * a011 - a101 * a010
+    return b * b - 4.0 * (a000 * a011 - a001 * a010) * (a100 * a111 - a101 * a110)
+
+
+def pure_three_tangle(amps: np.ndarray) -> float:
+    """Level-3 roof leaf: 4 |Det| of a normalized three-qubit pure state.
+
+    Equals the recursive pure three-tangle tau_1 - C_12^2 - C_13^2 for
+    every hub (Coffman, Kundu & Wootters, PRA 61, 052306, 2000), without
+    the two concurrence eigen-solves, and is never negative.
+    """
+    return 4.0 * float(abs(_cayley(amps)))
+
+
+# Both leaves are sqrt(tau(v)) = 2 |P(v)|^(2/d) for a homogeneous
+# polynomial P of degree d; the roof optimizer uses (d, P) for closed-form
+# contributions of unnormalized rows and pair-rotation profiles
+pure_functional_2q.polynomial = (2, _two_qubit_det)
+pure_three_tangle.polynomial = (4, _cayley)
 
 
 class _Term(NamedTuple):
@@ -162,27 +186,32 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     """Mixed m-tangle of the reduction of raw `amps` onto fpos plus partners.
 
     Returns (value, roof_result).  For m = 2 the concurrence closed form is
-    exact and roof_result is None.  For m >= 3 the roof search evaluates
-    each decomposition member with the pure m-tangle leaf, which recurses
-    through :func:`_hierarchy`; non-convergence of any nested roof marks
-    the returned result as not converged.
+    exact and roof_result is None.  For m >= 3 a roof search evaluates
+    each decomposition member with a pure m-tangle leaf: the
+    hyperdeterminant :func:`pure_three_tangle` for m = 3, and for m >= 4
+    the leaf that recurses through :func:`_hierarchy`, where
+    non-convergence of any nested roof marks the returned result as not
+    converged.
     """
     kept = tuple(sorted((fpos,) + partners))
     mat = _reduced_from_pure(amps, n, tuple(p - 1 for p in kept))
     m = len(kept)
     if m == 2:
         return _concurrence_matrix(mat) ** 2, None
-    member_fpos = kept.index(fpos) + 1
+    rho = DensityOperator(kept, mat)
+    if m == 3:
+        result = _roof_minimize(rho, fpos, partners, pure_three_tangle, config)
+        return result.value, result
     convergence_log: list[bool] = []
+    member_fpos = kept.index(fpos) + 1
 
     def pure_functional(member: np.ndarray) -> float:
         return _pure_m_tangle_amps(
-            np.asarray(member, dtype=np.complex128), m, member_fpos, config,
-            permutation_weighted, convergence_log,
+            np.asarray(member, dtype=np.complex128), m, member_fpos,
+            config, permutation_weighted, convergence_log,
         )
 
-    result = _roof_minimize(DensityOperator(kept, mat), fpos, partners,
-                            pure_functional, config)
+    result = _roof_minimize(rho, fpos, partners, pure_functional, config)
     if not all(convergence_log):
         result = dataclasses.replace(result, converged=False)
     return result.value, result

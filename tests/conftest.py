@@ -54,6 +54,23 @@ def random_pure_state(num_qubits: int, seed: int) -> StateVector:
     return StateVector(num_qubits, v / np.linalg.norm(v))
 
 
+def ckw_three_tangle(amps: np.ndarray) -> float:
+    """Pure three-tangle 4 |d1 - 2 d2 + 4 d3| in the expanded form of
+    Coffman, Kundu & Wootters (PRA 61, 052306, 2000)."""
+    a = amps.reshape(2, 2, 2)
+    d1 = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+          + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2)
+    d2 = (a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 1] * a[1, 0, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 0] * a[0, 0, 1]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
+          + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
+          + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1])
+    d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
+          + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
 def random_mixed_2q(seed: int) -> DensityOperator:
     """Random-rank two-qubit mixed state (rank drawn uniformly from 1..4)."""
     rng = np.random.default_rng(seed)

@@ -232,7 +232,11 @@ class TestSmCheck:
         result = invoke(runner, ["sm-check", "--wclass", "--n", "3", "--w",
                                  "--out", str(tmp_path / "sm.json")])
         assert result.exit_code == 2
-        assert "internal error: RuntimeError: boom" in result.stderr
+        lines = result.stderr.splitlines()
+        assert lines[0] == "internal error: RuntimeError: boom"
+        assert lines[1] == "Traceback (most recent call last):"
+        assert lines[-1] == "RuntimeError: boom"
+        assert any("in broken" in line for line in lines)
 
 
 class TestBatch:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,20 +9,31 @@ from monotangle.qstate import (
     DensityOperator,
     InputError,
     density_from_pure,
+    haar_random_state,
     ket_from_basis_terms,
     reduce_pure_state,
 )
 from monotangle.roof import (
+    _SCAN_PHI,
+    _SCAN_THETA,
     RoofConfig,
     WeightedEnsemble,
+    _binary_form,
+    _Objective,
+    _pair_profile,
     _random_unitary,
+    _scan_table,
     canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
 )
-from monotangle.tangle import concurrence_2q, pure_functional_2q
+from monotangle.tangle import (
+    concurrence_2q,
+    pure_functional_2q,
+    pure_three_tangle,
+)
 from monotangle.wclass import wclass_random, wclass_reduction, wclass_state
-from .conftest import random_mixed_2q, random_pure_state
+from .conftest import ckw_three_tangle, random_mixed_2q, random_pure_state
 
 # mirrors the acceptance configuration for two-qubit roof searches
 CFG_2Q = RoofConfig(seed=7, restarts=4, padding=2, max_sweeps=40, tol=1e-8)
@@ -198,6 +211,90 @@ class TestMTangleMixed:
         rho = random_mixed_2q(8)
         result = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
         assert result.min_pure_tangle_seen >= -1e-12
+
+
+POLYNOMIAL_LEAVES = [(pure_functional_2q, 4), (pure_three_tangle, 8)]
+
+
+def _random_rows(rng, count, dim):
+    """Unnormalized complex rows with squared norms between 0.1 and 2."""
+    rows = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    scale = np.sqrt(rng.uniform(0.1, 2.0, count)) / np.linalg.norm(rows, axis=1)
+    return rows * scale[:, None]
+
+
+class TestPolynomialLeaves:
+    @pytest.mark.parametrize("leaf, dim", POLYNOMIAL_LEAVES)
+    def test_contribution_is_weighted_sqrt_leaf(self, leaf, dim):
+        rng = np.random.default_rng(dim)
+        objective = _Objective(leaf)
+        for row in _random_rows(rng, 200, dim):
+            p = float(np.vdot(row, row).real)
+            expected = p * math.sqrt(leaf(row / math.sqrt(p)))
+            assert objective.contribution(row) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("leaf, dim", POLYNOMIAL_LEAVES)
+    def test_binary_form_reproduces_rotated_rows(self, leaf, dim):
+        d, poly = leaf.polynomial
+        rng = np.random.default_rng(10 + dim)
+        k = np.arange(d + 1)
+        for x, y in _random_rows(rng, 400, dim).reshape(200, 2, dim):
+            coeffs = _binary_form(d, poly, x, y)
+            theta = rng.uniform(-math.pi, math.pi)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            c, s, e = math.cos(theta), math.sin(theta), np.exp(1j * phi)
+            row_i = c * x + e * s * y
+            row_j = c * y - e.conjugate() * s * x
+            assert np.sum(coeffs * c ** (d - k) * (e * s) ** k) == pytest.approx(
+                poly(row_i), abs=1e-12
+            )
+            assert np.sum(coeffs * c ** k * (-e.conjugate() * s) ** (d - k)) == (
+                pytest.approx(poly(row_j), abs=1e-12)
+            )
+
+    @pytest.mark.parametrize("leaf, dim", POLYNOMIAL_LEAVES)
+    def test_profile_and_scan_match_rotated_contributions(self, leaf, dim):
+        # the pair step scales the coefficients by 2^(d/2), so that the
+        # profile and the scan read contributions directly
+        d, poly = leaf.polynomial
+        objective = _Objective(leaf)
+        rng = np.random.default_rng(20 + dim)
+        for x, y in _random_rows(rng, 40, dim).reshape(20, 2, dim):
+            coeffs = 2.0 ** (d / 2) * _binary_form(d, poly, x, y)
+            profile = _pair_profile(d, coeffs)
+            rows = np.abs(_scan_table(d) @ coeffs) ** (2.0 / d)
+            grid = rows[:len(rows) // 2] + rows[len(rows) // 2:]
+            for flat in rng.choice(len(grid), size=8, replace=False):
+                theta = _SCAN_THETA[flat // len(_SCAN_PHI)]
+                phi = _SCAN_PHI[flat % len(_SCAN_PHI)]
+                c, s, e = math.cos(theta), math.sin(theta), np.exp(1j * phi)
+                expected = (objective.contribution(c * x + e * s * y)
+                            + objective.contribution(c * y - e.conjugate() * s * x))
+                assert profile(theta, phi) == pytest.approx(expected, abs=1e-12)
+                assert grid[flat] == pytest.approx(expected, abs=1e-12)
+
+    def test_level3_roof_reproduced_by_its_members(self):
+        # the best mixing, re-applied to the eigen-ensemble and evaluated
+        # member by member with the expanded CKW three-tangle, gives back
+        # the reported value.  The recursion tau_1 - C_12^2 - C_13^2 cannot
+        # serve here: the search drives members towards zero three-tangle,
+        # where its concurrence eigen-solves lose ~1e-6.
+        cfg = RoofConfig(seed=3, restarts=2, max_sweeps=20)
+        checked = 0
+        for seed in range(4):
+            state = haar_random_state(4, 900 + seed)
+            for partners in ((2, 3), (2, 4), (3, 4)):
+                rho = reduce_pure_state(state, (1,) + partners)
+                result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
+                mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
+                total = sum(p * math.sqrt(ckw_three_tangle(member.amplitudes))
+                            for p, member in mixed.members)
+                assert total ** 2 == pytest.approx(result.value, abs=1e-10)
+                assert result.min_pure_tangle_seen >= 0.0
+                checked += 1
+        assert checked >= 10
 
 
 class TestRoofConfig:

@@ -5,6 +5,7 @@ from monotangle.qstate import (
     InputError,
     StateVector,
     density_from_pure,
+    haar_random_state,
     ket_from_basis_terms,
     partial_trace,
     reduce_pure_state,
@@ -17,9 +18,10 @@ from monotangle.tangle import (
     n_tangle_pure,
     one_tangle,
     pure_functional_2q,
+    pure_three_tangle,
     two_tangle,
 )
-from .conftest import permute_qubits, random_pure_state
+from .conftest import ckw_three_tangle, permute_qubits, random_pure_state
 
 CFG = RoofConfig(seed=11, restarts=4, max_sweeps=60)
 
@@ -153,8 +155,8 @@ class TestPureTangleBipartite:
         assert pure_functional_2q(amps) == pytest.approx(
             one_tangle(state, 1).value, abs=1e-12
         )
-        q = pure_functional_2q.sqrt_form
-        assert abs(amps @ (q @ amps)) == pytest.approx(
+        d, poly = pure_functional_2q.polynomial
+        assert 2.0 * abs(poly(amps)) ** (2.0 / d) == pytest.approx(
             np.sqrt(pure_functional_2q(amps)), abs=1e-12
         )
 
@@ -205,6 +207,28 @@ class TestNTanglePure:
         )
         assert three_part > 1e-4
         assert weighted == pytest.approx(plain - three_part, abs=1e-12)
+
+
+class TestPureThreeTangle:
+    def test_matches_recursion_for_every_hub(self):
+        # 4 |Det| against tau_1 - C_12^2 - C_13^2 through the hierarchy
+        for seed in range(200):
+            state = haar_random_state(3, seed)
+            leaf = pure_three_tangle(state.amplitudes)
+            assert leaf == pytest.approx(
+                ckw_three_tangle(state.amplitudes), abs=1e-14)
+            for hub in (1, 2, 3):
+                assert leaf == pytest.approx(
+                    n_tangle_pure(state, hub, CFG).value, abs=1e-12
+                ), (seed, hub)
+
+    def test_ghz_is_one(self, ghz3):
+        assert pure_three_tangle(ghz3.amplitudes) == pytest.approx(
+            1.0, abs=1e-15
+        )
+
+    def test_w_is_exactly_zero(self, w3):
+        assert pure_three_tangle(w3.amplitudes) == 0.0
 
 
 class TestValueTypes:
