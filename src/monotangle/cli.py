@@ -47,7 +47,7 @@ from .qstate import (
     state_to_dict,
 )
 from .roof import RoofConfig
-from .tangle import mixed_tangle_term, one_tangle
+from .tangle import TermRecord, mixed_tangle_term, one_tangle
 from .wclass import (
     WClassParams,
     params_from_dict,
@@ -211,12 +211,9 @@ def _level_name(m: int) -> str:
 @click.option("--focus", type=int, default=1, show_default=True)
 @click.option("--partners", type=str, default=None,
               help="Comma-separated partner labels for a single reduction.")
-@click.option("--permutation-weighted", is_flag=True,
-              help="Count each index vector once per partner permutation.")
 @_roof_options
 @click.option("--out", type=click.Path(), default=None)
-def cmd_tangle(state_file, focus, partners, permutation_weighted, seed,
-               restarts, padding, out):
+def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
     """Tangle values of a state file: single reduction or full hierarchy."""
 
     def body():
@@ -230,25 +227,17 @@ def cmd_tangle(state_file, focus, partners, permutation_weighted, seed,
             "num_qubits": n,
         }
         cap = _qubit_cap()
-        partner_labels = _parse_partners(partners) if partners else None
-        full_cover = (partner_labels is not None
-                      and set(partner_labels) == set(range(1, n + 1)) - {focus})
-        if partner_labels is not None and not full_cover:
-            value, result = mixed_tangle_term(
-                state, focus, partner_labels, config,
-                permutation_weighted=permutation_weighted,
-            )
-            m = 1 + len(partner_labels)
+        if partners:
+            partner_labels = _parse_partners(partners)
+            value, result = mixed_tangle_term(state, focus, partner_labels,
+                                              config)
+            term = TermRecord(tuple(sorted(partner_labels)),
+                              1 + len(partner_labels), value, result)
             payload["mode"] = "reduction"
-            payload["term"] = {
-                "partners": sorted(partner_labels),
-                "m": m,
-                "value": value,
-                "method": "closed_form" if result is None else "roof",
-                "converged": True if result is None else result.converged,
-            }
-            payload["converged"] = payload["term"]["converged"]
-            _summary(f"{_level_name(m)} {sorted(partner_labels)}: {_sci(value)}")
+            payload["term"] = term.to_json_dict()
+            payload["converged"] = term.converged
+            _summary(f"{_level_name(term.m)} {list(term.partners)}: "
+                     f"{_sci(value)}")
         elif n == 2:
             tau = one_tangle(state, focus).value
             payload["mode"] = "hierarchy"
@@ -263,10 +252,7 @@ def cmd_tangle(state_file, focus, partners, permutation_weighted, seed,
                     f"{n} qubits exceeds the cap of {cap}; set "
                     f"{_MAX_QUBITS_ENV} to override"
                 )
-            report = sm_residual(
-                state, focus, config, max_qubits=cap,
-                permutation_weighted=permutation_weighted,
-            )
+            report = sm_residual(state, focus, config, max_qubits=cap)
             payload["mode"] = "hierarchy"
             payload["one_tangle"] = report.one_tangle
             payload["terms"] = [t.to_json_dict() for t in report.terms]
@@ -325,13 +311,11 @@ def cmd_ckw_check(state_file, focus, tol_closed, out):
 @click.option("--focus", type=int, default=1, show_default=True)
 @click.option("--sweep-foci", "sweep_foci_", is_flag=True,
               help="Evaluate once per hub choice.")
-@click.option("--permutation-weighted", is_flag=True)
 @_roof_options
 @_tol_options
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
-                 permutation_weighted, seed, restarts, padding, tol_roof,
-                 tol_closed, out):
+                 seed, restarts, padding, tol_roof, tol_closed, out):
     """Strong-monogamy check of a state file or a generated W-class state."""
 
     def body():
@@ -348,7 +332,6 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
         cap = _qubit_cap()
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         kwargs = dict(tol_closed=tol_closed, tol_roof=tol_roof,
-                      permutation_weighted=permutation_weighted,
                       max_qubits=cap)
         if sweep_foci_:
             reports = sweep_foci(state, config, **kwargs)
@@ -404,7 +387,7 @@ def _sample_seed(global_seed: int, n: int, index: int) -> int:
 def _batch_row(task: dict) -> list:
     n = task["n"]
     sample_seed = task["sample_seed"]
-    config = RoofConfig.from_json_dict(task["config"])
+    config = task["config"]
     if task["family"] == "wclass":
         state = wclass_state(wclass_random(n, sample_seed))
     else:
@@ -455,7 +438,7 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
             {
                 "family": family, "n": n, "index": i,
                 "sample_seed": _sample_seed(seed, n, i),
-                "config": config.to_json_dict(), "cap": cap,
+                "config": config, "cap": cap,
                 "tol_closed": tol_closed, "tol_roof": tol_roof,
                 "timing": timing,
             }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .qstate import InputError, StateVector
 from .roof import RoofConfig
-from .tangle import _fold, _state_hierarchy
+from .tangle import TermRecord, _fold, _state_hierarchy
 from .wclass import WClassParams, wclass_state
 
 DEFAULT_MAX_SM_QUBITS = 7   # full SM evaluation cost grows combinatorially
@@ -28,48 +28,7 @@ DEFAULT_TOL_CLOSED = 1e-9   # verdict tolerance for closed-form arithmetic
 DEFAULT_TOL_ROOF = 1e-6     # verdict tolerance where roof searches enter
 
 
-@dataclass(frozen=True)
-class TermRecord:
-    """One hierarchy term of an SM evaluation."""
-
-    partners: tuple[int, ...]
-    m: int
-    value: float
-    pow_value: float
-    weight: int
-    method: str                          # "closed_form" or "roof"
-    converged: bool
-    restarts_used: int | None
-    min_pure_tangle_seen: float | None
-
-    @classmethod
-    def from_term(cls, term) -> "TermRecord":
-        """Record of one hierarchy term from :func:`monotangle.tangle._hierarchy`."""
-        roof = term.roof
-        return cls(
-            partners=term.partners, m=term.m, value=term.value,
-            pow_value=max(0.0, term.value) ** (term.m / 2), weight=term.weight,
-            method="closed_form" if roof is None else "roof",
-            converged=roof is None or roof.converged,
-            restarts_used=None if roof is None else roof.restarts_used,
-            min_pure_tangle_seen=None if roof is None else roof.min_pure_tangle_seen,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "partners": list(self.partners),
-            "m": self.m,
-            "value": self.value,
-            "pow": self.pow_value,
-            "weight": self.weight,
-            "method": self.method,
-            "converged": self.converged,
-            "restarts_used": self.restarts_used,
-            "min_pure_tangle_seen": self.min_pure_tangle_seen,
-        }
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonogamyReport:
     """Per-focus tangle hierarchy with CKW and SM residuals and verdicts."""
 
@@ -118,7 +77,6 @@ def ckw_residual(state: StateVector, focus: int = 1) -> float:
 def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
                 tol_closed: float = DEFAULT_TOL_CLOSED,
                 tol_roof: float = DEFAULT_TOL_ROOF,
-                permutation_weighted: bool = False,
                 max_qubits: int | None = DEFAULT_MAX_SM_QUBITS) -> MonogamyReport:
     """Full strong-monogamy evaluation of a pure state with hub `focus`.
 
@@ -134,7 +92,7 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
         raise InputError(
             f"{n} qubits exceeds the configured SM cap of {max_qubits}"
         )
-    one_t, terms = _state_hierarchy(state, focus, config, permutation_weighted)
+    one_t, terms = _state_hierarchy(state, focus, config)
     roofs = [t.roof for t in terms if t.roof is not None]
     sm = _fold(one_t, terms)
     ckw = _fold(one_t, [t for t in terms if t.m == 2])
@@ -144,7 +102,7 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
         focus=focus,
         num_qubits=n,
         one_tangle=one_t,
-        terms=tuple(TermRecord.from_term(t) for t in terms),
+        terms=tuple(terms),
         ckw_residual=float(ckw),
         sm_residual=float(sm),
         saturated_ckw=bool(abs(ckw) <= tol_closed),

@@ -229,21 +229,28 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(keep.labels, np.trace(blocks, axis1=1, axis2=3))
 
 
-def _reduced_from_pure(amps: np.ndarray, num_qubits: int, keep_positions) -> np.ndarray:
-    """Reduced density matrix of a pure state, as a raw array.
+def _pure_factor(amps: np.ndarray, num_qubits: int, keep_positions) -> np.ndarray:
+    """A pure state as its (kept, rest) amplitude matrix f: rho = f f^dagger.
 
     `keep_positions` are 0-based positions (label l sits at position l-1).
     The amplitudes, viewed as one axis per qubit, are permuted so the kept
-    positions lead; the result is sub @ sub^dagger of the (kept, rest)
-    matrix.  Fast path used by the tangle functionals; equivalent to
-    building the projector and calling partial_trace, which the tests
-    verify.
+    positions lead, then flattened to rows (kept) and columns (the rest).
     """
     keep_positions = tuple(keep_positions)
     env = tuple(p for p in range(num_qubits) if p not in keep_positions)
-    sub = (amps.reshape((2,) * num_qubits)
-           .transpose(keep_positions + env)
-           .reshape(1 << len(keep_positions), -1))
+    return (amps.reshape((2,) * num_qubits)
+            .transpose(keep_positions + env)
+            .reshape(1 << len(keep_positions), -1))
+
+
+def _reduced_from_pure(amps: np.ndarray, num_qubits: int, keep_positions) -> np.ndarray:
+    """Reduced density matrix of a pure state, as a raw array.
+
+    sub @ sub^dagger of the :func:`_pure_factor` matrix.  Fast path used
+    by the tangle functionals; equivalent to building the projector and
+    calling partial_trace, which the tests verify.
+    """
+    sub = _pure_factor(amps, num_qubits, keep_positions)
     return sub @ sub.conj().T
 
 
@@ -297,24 +304,3 @@ def load_state(path) -> StateVector:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read state file {path}: {exc}") from exc
     return state_from_dict(data)
-
-
-def density_to_dict(rho: DensityOperator) -> dict:
-    return {
-        "qubit_labels": list(rho.qubit_labels),
-        "matrix": [
-            [[float(z.real), float(z.imag)] for z in row] for row in rho.matrix
-        ],
-    }
-
-
-def density_from_dict(data: dict) -> DensityOperator:
-    try:
-        labels = tuple(int(l) for l in data["qubit_labels"])
-        mat = np.array(
-            [[complex(re, im) for re, im in row] for row in data["matrix"]],
-            dtype=np.complex128,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed density record: {exc}") from exc
-    return DensityOperator(labels, mat)

@@ -97,19 +97,6 @@ class RoofConfig:
             "tol": float(self.tol),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RoofConfig":
-        try:
-            return cls(
-                seed=int(data["seed"]),
-                restarts=int(data["restarts"]),
-                padding=int(data["padding"]),
-                max_sweeps=int(data["max_sweeps"]),
-                tol=float(data["tol"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed roof config: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class WeightedEnsemble:
@@ -309,18 +296,22 @@ def _pair_profile(d: int, coeffs: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _scan_table(d: int) -> np.ndarray:
-    """Monomials of the binary forms of both rows on the dense (t, f) grid.
+def _scan_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factored monomials of the binary forms of both rows on the (t, f) grid.
 
-    Row g of the first half holds c^(d-k) (e s)^k and of the second half
-    c^k (-e* s)^(d-k), for grid point g = (index of t) * len(_SCAN_PHI) +
-    (index of f), so that table @ coefficients is P on both rotated rows.
+    On row i the monomial of A_k is c^(d-k) s^k e^{ikf}; on row j it is
+    c^k (-s)^(d-k) e^{ikf} times e^{-idf}, a unit factor that drops out of
+    the modulus.  The real table `radial` stacks the t-parts of row i
+    (first len(_SCAN_THETA) rows) over those of row j, and
+    phases[k, f] = e^{ikf}, so |(radial * coefficients) @ phases| is |P|
+    on both rotated rows, indexed by (t, f).  The product is small enough
+    to stay out of threaded BLAS kernels.
     """
-    c = np.repeat(np.cos(_SCAN_THETA), len(_SCAN_PHI))[:, None]
-    es = np.outer(np.sin(_SCAN_THETA), np.exp(1j * _SCAN_PHI)).reshape(-1, 1)
-    k = np.arange(d + 1)[None, :]
-    return np.vstack([c ** (d - k) * es ** k,
-                      c ** k * (-es.conj()) ** (d - k)])
+    c = np.cos(_SCAN_THETA)[:, None]
+    s = np.sin(_SCAN_THETA)[:, None]
+    k = np.arange(d + 1)
+    radial = np.vstack([c ** (d - k) * s ** k, c ** k * (-s) ** (d - k)])
+    return radial, np.exp(1j * np.outer(k, _SCAN_PHI))
 
 
 def _apply_rotation(M, U, i, j, theta: float, phi: float) -> None:
@@ -382,9 +373,9 @@ def _pair_step(M, U, w, i, j, objective) -> None:
         # scaled so that |form|^(2/d) is the contribution 2 |P|^(2/d)
         coeffs = 2.0 ** (d / 2) * _binary_form(d, poly, vi, vj)
         pair_obj = _pair_profile(d, coeffs)
-        rows = np.abs(_scan_table(d) @ coeffs) ** (2.0 / d)
-        half = len(rows) // 2
-        grid = rows[:half] + rows[half:]
+        radial, phases = _scan_tables(d)
+        rows = np.abs((radial * coeffs) @ phases) ** (2.0 / d)
+        grid = (rows[:len(_SCAN_THETA)] + rows[len(_SCAN_THETA):]).ravel()
         flat = int(np.argmin(grid))
         theta = float(_SCAN_THETA[flat // len(_SCAN_PHI)])
         phi = float(_SCAN_PHI[flat % len(_SCAN_PHI)])

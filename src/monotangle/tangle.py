@@ -7,12 +7,12 @@ state subtracts, from the one-tangle, every mixed m-tangle of the
 focus-containing reductions raised to the power m/2, for m = 2 ... n-1.
 
 That (level, subset) hierarchy is written once, on raw amplitudes:
-:func:`_hierarchy` lists the terms and :func:`_term` evaluates one of
-them -- the concurrence closed form for m = 2, a convex roof delegated to
-:mod:`monotangle.roof` for m >= 3.  The roof's members are evaluated by
-the Cayley-hyperdeterminant leaf :func:`pure_three_tangle` for m = 3 and
-by :func:`_pure_m_tangle_amps`, itself a fold over :func:`_hierarchy`,
-for m >= 4.
+:func:`_hierarchy` lists the terms, as :class:`TermRecord` records, and
+:func:`_term` evaluates one of them -- the concurrence closed form for
+m = 2, a convex roof delegated to :mod:`monotangle.roof` for m >= 3.
+The roof's members are evaluated by the Cayley-hyperdeterminant leaf
+:func:`pure_three_tangle` for m = 3 and by :func:`_pure_m_tangle_amps`,
+itself a fold over :func:`_hierarchy`, for m >= 4.
 :func:`n_tangle_pure`, :func:`mixed_tangle_term` and the residuals in
 :mod:`monotangle.monogamy` are folds over the same two functions.
 """
@@ -22,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +29,19 @@ from .qstate import (
     DensityOperator,
     InputError,
     StateVector,
+    _pure_factor,
     _reduced_from_pure,
     as_subset,
     check_labels_in_range,
 )
 from .roof import RoofResult, m_tangle_mixed as _roof_minimize
 
-# sy x sy is antidiagonal with entries (-1, 1, 1, -1), so the spin flip
-# (sy x sy) M (sy x sy) reverses the rows and columns of M and applies
-# these signs; fixed convention for concurrence
-_FLIP_SIGNS = np.outer([1, -1, -1, 1], [1, -1, -1, 1])
+# sy x sy is antidiagonal with entries (-1, 1, 1, -1), so (sy x sy) v is
+# these signs times v reversed, and the spin flip (sy x sy) M (sy x sy)
+# reverses the rows and columns of M and applies their outer product;
+# fixed convention for concurrence
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS = np.outer(_YY_SIGNS, _YY_SIGNS)
 
 _EIG_FLOOR = 1e-14      # spin-flip eigenvalues below this count as zero
 _VALUE_NOISE = 1e-10    # tangles may undershoot 0 / overshoot 1 by this much
@@ -101,6 +102,18 @@ def _concurrence_matrix(mat: np.ndarray) -> float:
     ev[ev < _EIG_FLOOR] = 0.0
     lam = np.sort(np.sqrt(ev))[::-1]
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def _factor_concurrence(f: np.ndarray) -> float:
+    """Concurrence of the two-qubit state f f^dagger, from its 4-row factor f.
+
+    The l_i are the singular values of the symmetric matrix
+    f^T (sy x sy) f (Wootters' tau matrix), whose squares are the
+    eigenvalues of rho (sy x sy) rho* (sy x sy); no square root of a
+    round-off eigenvalue enters.
+    """
+    lam = np.linalg.svd(f.T @ (_YY_SIGNS[:, None] * f[::-1]), compute_uv=False)
+    return max(0.0, float(lam[0] - lam[1:4].sum()))
 
 
 def concurrence_2q(rho) -> float:
@@ -171,22 +184,60 @@ pure_functional_2q.polynomial = (2, _two_qubit_det)
 pure_three_tangle.polynomial = (4, _cayley)
 
 
-class _Term(NamedTuple):
-    """One hierarchy term: the mixed m-tangle of the hub plus `partners`."""
+@dataclass(frozen=True, eq=False)
+class TermRecord:
+    """One hierarchy term: the mixed m-tangle of the hub plus `partners`.
+
+    The only term record: reports hold it as is, and :meth:`to_json_dict`
+    is the term shape of every JSON report.
+    """
 
     partners: tuple[int, ...]
     m: int
     value: float
-    weight: int
     roof: RoofResult | None     # None for the m = 2 closed form
+
+    @property
+    def pow_value(self) -> float:
+        """The term's share of the residual, max(0, value)^(m/2)."""
+        return max(0.0, self.value) ** (self.m / 2)
+
+    @property
+    def method(self) -> str:
+        return "closed_form" if self.roof is None else "roof"
+
+    @property
+    def converged(self) -> bool:
+        return self.roof is None or self.roof.converged
+
+    @property
+    def restarts_used(self) -> int | None:
+        return None if self.roof is None else self.roof.restarts_used
+
+    @property
+    def min_pure_tangle_seen(self) -> float | None:
+        return None if self.roof is None else self.roof.min_pure_tangle_seen
+
+    def to_json_dict(self) -> dict:
+        return {
+            "partners": list(self.partners),
+            "m": self.m,
+            "value": self.value,
+            "pow": self.pow_value,
+            "method": self.method,
+            "converged": self.converged,
+            "restarts_used": self.restarts_used,
+            "min_pure_tangle_seen": self.min_pure_tangle_seen,
+        }
 
 
 def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
-          config, permutation_weighted: bool):
+          config):
     """Mixed m-tangle of the reduction of raw `amps` onto fpos plus partners.
 
-    Returns (value, roof_result).  For m = 2 the concurrence closed form is
-    exact and roof_result is None.  For m >= 3 a roof search evaluates
+    Returns (value, roof_result).  For m = 2 the concurrence closed form,
+    taken from the pure-state factor of the reduction, is exact and
+    roof_result is None.  For m >= 3 a roof search evaluates
     each decomposition member with a pure m-tangle leaf: the
     hyperdeterminant :func:`pure_three_tangle` for m = 3, and for m >= 4
     the leaf that recurses through :func:`_hierarchy`, where
@@ -194,11 +245,11 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     converged.
     """
     kept = tuple(sorted((fpos,) + partners))
-    mat = _reduced_from_pure(amps, n, tuple(p - 1 for p in kept))
+    positions = tuple(p - 1 for p in kept)
     m = len(kept)
     if m == 2:
-        return _concurrence_matrix(mat) ** 2, None
-    rho = DensityOperator(kept, mat)
+        return _factor_concurrence(_pure_factor(amps, n, positions)) ** 2, None
+    rho = DensityOperator(kept, _reduced_from_pure(amps, n, positions))
     if m == 3:
         result = _roof_minimize(rho, fpos, partners, pure_three_tangle, config)
         return result.value, result
@@ -208,7 +259,7 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     def pure_functional(member: np.ndarray) -> float:
         return _pure_m_tangle_amps(
             np.asarray(member, dtype=np.complex128), m, member_fpos,
-            config, permutation_weighted, convergence_log,
+            config, convergence_log,
         )
 
     result = _roof_minimize(rho, fpos, partners, pure_functional, config)
@@ -218,44 +269,39 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
 
 
 def _hierarchy(amps: np.ndarray, n: int, fpos: int, config,
-               permutation_weighted: bool, top: int | None = None):
+               top: int | None = None):
     """Raw one-tangle and every hierarchy term of a pure n-qubit state.
 
     Terms run over m = 2 ... top (default n - 1), ordered by level and
     then lexicographically over the size-(m-1) partner subsets that
-    exclude the hub.  The weight is (m-1)! with `permutation_weighted` and
-    1 otherwise.
+    exclude the hub; each subset is counted once.
     """
     others = tuple(p for p in range(1, n + 1) if p != fpos)
     terms = []
     for m in range(2, (n - 1 if top is None else top) + 1):
-        weight = factorial(m - 1) if permutation_weighted else 1
         for partners in combinations(others, m - 1):
-            value, result = _term(amps, n, fpos, partners, config,
-                                  permutation_weighted)
-            terms.append(_Term(partners, m, value, weight, result))
+            value, result = _term(amps, n, fpos, partners, config)
+            terms.append(TermRecord(partners, m, value, result))
     return _one_tangle_raw(amps, n, fpos), terms
 
 
 def _fold(total: float, terms) -> float:
-    """`total` minus weight * max(0, value)^(m/2) of every term, in order."""
-    for _, m, value, weight, _ in terms:
-        total -= weight * max(0.0, value) ** (m / 2)
+    """`total` minus max(0, value)^(m/2) of every term, in order."""
+    for term in terms:
+        total -= term.pow_value
     return total
 
 
 def _state_hierarchy(state: StateVector, focus: int, config,
-                     permutation_weighted: bool = False,
                      top: int | None = None):
     """Validated :func:`_hierarchy` of `state`: clamped one-tangle and terms."""
     _check_focus(state, focus)
     one, terms = _hierarchy(state.amplitudes, state.num_qubits, focus, config,
-                            permutation_weighted, top)
+                            top)
     return _clamp_noise(one), terms
 
 
 def _pure_m_tangle_amps(amps: np.ndarray, m: int, fpos: int, config,
-                        permutation_weighted: bool,
                         convergence_log: list[bool]) -> float:
     """Roof leaf: recursive pure m-tangle of a raw normalized amplitude vector.
 
@@ -263,13 +309,12 @@ def _pure_m_tangle_amps(amps: np.ndarray, m: int, fpos: int, config,
     where members are evaluated many thousands of times.  The convergence
     flags of its own roof terms are appended to `convergence_log`.
     """
-    one, terms = _hierarchy(amps, m, fpos, config, permutation_weighted)
-    convergence_log.extend(t.roof.converged for t in terms if t.roof is not None)
+    one, terms = _hierarchy(amps, m, fpos, config)
+    convergence_log.extend(t.converged for t in terms)
     return _fold(one, terms)
 
 
-def mixed_tangle_term(state: StateVector, focus: int, partners, config,
-                      permutation_weighted: bool = False):
+def mixed_tangle_term(state: StateVector, focus: int, partners, config):
     """Mixed m-tangle of the reduction of `state` onto focus plus `partners`.
 
     Returns (value, roof_result); roof_result is None for m = 2, where the
@@ -283,22 +328,18 @@ def mixed_tangle_term(state: StateVector, focus: int, partners, config,
         raise InputError("reduction must be a proper subsystem")
     check_labels_in_range(partners, state.num_qubits)
     return _term(state.amplitudes, state.num_qubits, focus, partners.labels,
-                 config, permutation_weighted)
+                 config)
 
 
-def n_tangle_pure(state: StateVector, focus: int, config,
-                  permutation_weighted: bool = False) -> TangleValue:
+def n_tangle_pure(state: StateVector, focus: int, config) -> TangleValue:
     """Recursive n-tangle of a pure state with hub `focus`.
 
     one_tangle minus sum over m = 2 ... n-1 and over all focus-anchored
     partner subsets of the mixed m-tangle to the power m/2.  Reduces to the
-    two-tangle for n = 2 and the usual three-tangle for n = 3.  With
-    `permutation_weighted` each subset term is counted (m-1)! times
-    (the permutation reading of ordered index vectors); the default counts
-    each subset once, which is equivalent for any state whose m >= 3
-    tangles vanish.
+    two-tangle for n = 2 and the usual three-tangle for n = 3.  Each
+    partner subset is counted once (Regula, Di Martino, Lee & Adesso,
+    PRL 113, 110501, 2014).
     """
-    one, terms = _state_hierarchy(state, focus, config, permutation_weighted)
-    converged = all(t.roof.converged for t in terms if t.roof is not None)
+    one, terms = _state_hierarchy(state, focus, config)
     return TangleValue(_fold(one, terms), level=state.num_qubits,
-                       converged=converged)
+                       converged=all(t.converged for t in terms))

@@ -133,6 +133,16 @@ class TestTangle:
         assert payload["mode"] == "reduction"
         assert payload["term"]["value"] == pytest.approx(4 / 9, abs=1e-9)
 
+    def test_partners_covering_the_rest_is_input_error(self, runner, tmp_path,
+                                                       w3):
+        # the whole state is not a reduction; its hierarchy has no --partners
+        state_file = tmp_path / "w3.json"
+        save_state(w3, state_file)
+        result = invoke(runner, ["tangle", str(state_file),
+                                 "--partners", "3,2"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
     def test_malformed_state_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

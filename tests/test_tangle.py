@@ -10,11 +10,15 @@ from monotangle.qstate import (
     partial_trace,
     reduce_pure_state,
 )
-from monotangle.roof import RoofConfig
+from monotangle.roof import (
+    RoofConfig,
+    canonical_ensemble,
+    hjw_mix,
+    m_tangle_mixed,
+)
 from monotangle.tangle import (
     TangleValue,
     concurrence_2q,
-    mixed_tangle_term,
     n_tangle_pure,
     one_tangle,
     pure_functional_2q,
@@ -187,26 +191,23 @@ class TestNTanglePure:
             expected, abs=1e-9
         )
 
-    def test_permutation_weighted_reading(self, w3):
-        # all m >= 3 terms vanish for single-excitation states, so both
-        # readings agree there; on generic states they differ at m >= 3
-        default = n_tangle_pure(w3, 1, CFG).value
-        weighted = n_tangle_pure(w3, 1, CFG, permutation_weighted=True)
-        assert weighted.value == pytest.approx(default, abs=1e-9)
-
-    def test_permutation_weighting_changes_generic_value(self):
-        tiny = RoofConfig(seed=5, restarts=1, max_sweeps=4, tol=1e-6)
-        state = random_pure_state(4, 4242)
-        plain = n_tangle_pure(state, 1, tiny).value
-        weighted = n_tangle_pure(state, 1, tiny,
-                                 permutation_weighted=True).value
-        # weight (m-1)! = 2 doubles every three-qubit term
-        three_part = sum(
-            max(0.0, mixed_tangle_term(state, 1, partners, tiny)[0]) ** 1.5
-            for partners in ((2, 3), (2, 4), (3, 4))
-        )
-        assert three_part > 1e-4
-        assert weighted == pytest.approx(plain - three_part, abs=1e-12)
+    def test_exact_on_level3_roof_members(self):
+        # roof searches drive members towards zero three-tangle, where the
+        # level-2 terms of the recursion must not lose accuracy
+        cfg = RoofConfig(seed=3, restarts=2, max_sweeps=20)
+        for seed in range(4):
+            state = haar_random_state(4, 900 + seed)
+            for partners in ((2, 3), (2, 4), (3, 4)):
+                rho = reduce_pure_state(state, (1,) + partners)
+                result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
+                                        cfg)
+                mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
+                for _, member in mixed.members:
+                    exact = ckw_three_tangle(member.amplitudes)
+                    for hub in (1, 2, 3):
+                        assert n_tangle_pure(member, hub, CFG).value == (
+                            pytest.approx(exact, abs=1e-12)
+                        ), (seed, partners, hub)
 
 
 class TestPureThreeTangle:
