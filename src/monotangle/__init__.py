@@ -24,7 +24,6 @@ from .qstate import (
 from .roof import (
     RoofConfig,
     RoofResult,
-    WeightedEnsemble,
     canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
@@ -63,7 +62,6 @@ __all__ = [
     "TermRecord",
     "WClassParams",
     "WClassReduction",
-    "WeightedEnsemble",
     "canonical_ensemble",
     "ckw_residual",
     "concurrence_2q",

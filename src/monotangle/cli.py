@@ -47,7 +47,7 @@ from .qstate import (
     state_to_dict,
 )
 from .roof import RoofConfig
-from .tangle import TermRecord, mixed_tangle_term, one_tangle
+from .tangle import mixed_tangle_term, one_tangle
 from .wclass import (
     WClassParams,
     params_from_dict,
@@ -88,16 +88,20 @@ def _manifest(seed: int, config: RoofConfig, input_path=None, output_path=None):
     }
 
 
-def _dump_json(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_text(text: str, out_path) -> None:
+    """Write a primary output to `out_path`, or to stdout when it is None."""
     if out_path is None:
         click.echo(text, nl=False)
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc}") from exc
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from exc
+
+
+def _dump_json(payload: dict, out_path) -> None:
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _summary(message: str) -> None:
@@ -228,16 +232,13 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
         }
         cap = _qubit_cap()
         if partners:
-            partner_labels = _parse_partners(partners)
-            value, result = mixed_tangle_term(state, focus, partner_labels,
-                                              config)
-            term = TermRecord(tuple(sorted(partner_labels)),
-                              1 + len(partner_labels), value, result)
+            term = mixed_tangle_term(state, focus, _parse_partners(partners),
+                                     config)
             payload["mode"] = "reduction"
             payload["term"] = term.to_json_dict()
             payload["converged"] = term.converged
             _summary(f"{_level_name(term.m)} {list(term.partners)}: "
-                     f"{_sci(value)}")
+                     f"{_sci(term.value)}")
         elif n == 2:
             tau = one_tangle(state, focus).value
             payload["mode"] = "hierarchy"
@@ -423,6 +424,8 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
     def body():
         if samples < 1:
             raise InputError(f"samples must be >= 1, got {samples}")
+        if jobs < 1:
+            raise InputError(f"jobs must be >= 1, got {jobs}")
         ns = _parse_n_range(n_range)
         cap = _qubit_cap()
         for n in ns:
@@ -455,15 +458,7 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
         writer.writerow(["n", "sample", "seed", "ckw_residual", "sm_residual",
                          "max_m3plus_term", "runtime_ms"])
         writer.writerows(rows)
-        text = buffer.getvalue()
-        if out is None:
-            click.echo(text, nl=False)
-        else:
-            try:
-                with open(out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise InputError(f"cannot write {out}: {exc}") from exc
+        _write_text(buffer.getvalue(), out)
         _summary(f"{len(rows)} rows in "
                  f"{1e3 * (time.perf_counter() - t0):.0f} ms")
 

@@ -96,8 +96,10 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
     roofs = [t.roof for t in terms if t.roof is not None]
     sm = _fold(one_t, terms)
     ckw = _fold(one_t, [t for t in terms if t.m == 2])
-    saturated_sm = bool(abs(sm) <= tol_roof
-                        and all(r.value <= tol_roof for r in roofs))
+    # with no roof term (n = 3), SM is closed-form arithmetic like CKW
+    tol_sm = tol_roof if roofs else tol_closed
+    saturated_sm = bool(abs(sm) <= tol_sm
+                        and all(r.value <= tol_sm for r in roofs))
     return MonogamyReport(
         focus=focus,
         num_qubits=n,
@@ -107,7 +109,7 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
         sm_residual=float(sm),
         saturated_ckw=bool(abs(ckw) <= tol_closed),
         saturated_sm=saturated_sm,
-        sm_violation=bool(sm < -(tol_roof if roofs else tol_closed)),
+        sm_violation=bool(sm < -tol_sm),
         converged=all(r.converged for r in roofs),
         tol_closed=tol_closed,
         tol_roof=tol_roof,
@@ -121,8 +123,9 @@ def verify_saturation(params: WClassParams, config: RoofConfig,
     """Build the W-class state for `params` and evaluate SM with hub 1.
 
     Saturation holds when the residual and every m >= 3 roof term sit
-    within the roof tolerance; failures come back as verdict booleans in
-    the report, not exceptions.
+    within the roof tolerance (the closed-form one at n = 3, where no roof
+    enters); failures come back as verdict booleans in the report, not
+    exceptions.
     """
     return sm_residual(wclass_state(params), 1, config, **kwargs)
 

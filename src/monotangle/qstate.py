@@ -292,9 +292,12 @@ def state_from_dict(data: dict) -> StateVector:
 
 
 def save_state(state: StateVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(state_to_dict(state), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write state file {path}: {exc}") from exc
 
 
 def load_state(path) -> StateVector:

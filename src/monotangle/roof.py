@@ -1,9 +1,12 @@
 """Convex-roof minimization for mixed-state m-tangles.
 
 The roof of a mixed state rho is [min over decompositions of
-sum_h p_h sqrt(tau(psi_h))]^2.  Every size-R pure-state decomposition of
-rho is reachable from the eigen-decomposition (padded with zero vectors)
-through an R x R unitary mixing, so the search space is the unitary group:
+sum_h p_h sqrt(tau(psi_h))]^2.  A decomposition is one complex array of
+rows, the scaled members sqrt(p_h) psi_h: p_h is the squared norm of row
+h, and zero rows are members with p_h = 0.  By Hughston, Jozsa & Wootters
+(Phys. Lett. A 183, 14, 1993) every size-R decomposition of rho is an
+R x R unitary times the eigen-rows (:func:`canonical_ensemble`, padded with
+zero rows; :func:`hjw_mix`), so the search space is the unitary group:
 the optimizer walks it with successive two-row Givens rotations, refining
 each rotation angle by golden section, from several seeded starts.
 
@@ -30,13 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import (
-    PROB_FLOOR,
-    DensityOperator,
-    InputError,
-    StateVector,
-    as_subset,
-)
+from .qstate import PROB_FLOOR, DensityOperator, InputError, as_subset
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_XTOL = 1e-4
@@ -99,40 +96,12 @@ class RoofConfig:
 
 
 @dataclass(frozen=True)
-class WeightedEnsemble:
-    """Probability-weighted pure states on a fixed qubit subset."""
-
-    qubit_labels: tuple[int, ...]
-    members: tuple[tuple[float, StateVector], ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise InputError("ensemble must have at least one member")
-        total = 0.0
-        for p, state in self.members:
-            if p <= 0.0:
-                raise InputError(f"member probability must be positive, got {p}")
-            if state.num_qubits != len(self.qubit_labels):
-                raise InputError("member state size does not match qubit labels")
-            total += p
-        if abs(total - 1.0) > 1e-10:
-            raise InputError(f"probabilities must sum to 1, got {total!r}")
-
-    def to_density(self) -> DensityOperator:
-        dim = 1 << len(self.qubit_labels)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for p, state in self.members:
-            mat += p * np.outer(state.amplitudes, state.amplitudes.conj())
-        return DensityOperator(self.qubit_labels, mat)
-
-
-@dataclass(frozen=True)
 class RoofResult:
     """Outcome of one roof search.
 
     value:  the minimized [sum p_h sqrt(tau_h)]^2 over everything searched.
-    best_mixing: the unitary relating the eigen-ensemble (zero-padded) to
-        the best decomposition found.
+    best_mixing: the unitary U whose rows hjw_mix(canonical_ensemble(rho),
+        U) are the best decomposition found.
     min_pure_tangle_seen: smallest raw pure tangle evaluated anywhere in
         the search, before clamping; significantly negative values are
         evidence worth surfacing, not errors.  Polynomial leaves (levels
@@ -146,51 +115,38 @@ class RoofResult:
     min_pure_tangle_seen: float
 
 
-def canonical_ensemble(rho: DensityOperator) -> WeightedEnsemble:
-    """Eigen-decomposition of rho as the reference (HJW anchor) ensemble.
+def canonical_ensemble(rho: DensityOperator) -> np.ndarray:
+    """Eigen-decomposition of rho as the reference (HJW anchor) rows.
 
-    Eigenvalues below PROB_FLOOR are dropped; members are ordered by
-    decreasing probability.
+    Row h is sqrt(p_h) psi_h for the eigenpair (p_h, psi_h), ordered by
+    decreasing p_h; eigenvalues at or below PROB_FLOOR are dropped.  The
+    rows R satisfy rho = R^T R*.
     """
     evals, evecs = np.linalg.eigh(rho.matrix)
-    members = []
-    for idx in range(len(evals) - 1, -1, -1):
-        p = float(evals[idx])
-        if p > PROB_FLOOR:
-            members.append((p, StateVector(rho.num_qubits, evecs[:, idx])))
-    return WeightedEnsemble(rho.qubit_labels, tuple(members))
+    return np.array([math.sqrt(evals[idx]) * evecs[:, idx]
+                     for idx in range(len(evals) - 1, -1, -1)
+                     if evals[idx] > PROB_FLOOR])
 
 
-def hjw_mix(ensemble: WeightedEnsemble, mixing: np.ndarray) -> WeightedEnsemble:
-    """Mix an ensemble through an R x R unitary (R >= member count).
+def hjw_mix(rows: np.ndarray, mixing: np.ndarray) -> np.ndarray:
+    """Mix decomposition rows through an R x R unitary (R >= row count).
 
-    The scaled members sqrt(p_l)|psi_l>, zero-padded to R rows, are combined
-    as phi_h = sum_l u_hl sqrt(p_l) psi_l; new probabilities are the squared
-    norms and members below PROB_FLOOR are dropped.  The mixed ensemble
-    reconstructs the same density operator.
+    The rows, zero-padded to R, are combined as phi_h = sum_l u_hl row_l.
+    Every row is a member: row h has probability |phi_h|^2 (zero rows are
+    members with p = 0), and the mixed rows reconstruct the same density
+    operator.
     """
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != mixing.shape[1]:
         raise InputError(f"mixing must be square, got shape {mixing.shape}")
     r = mixing.shape[0]
-    if r < len(ensemble.members):
-        raise InputError(
-            f"mixing size {r} smaller than ensemble size {len(ensemble.members)}"
-        )
+    if r < len(rows):
+        raise InputError(f"mixing size {r} smaller than row count {len(rows)}")
     if np.max(np.abs(mixing.conj().T @ mixing - np.eye(r))) > _UNITARITY_TOL:
         raise InputError("mixing matrix is not unitary within tolerance")
-    dim = 1 << len(ensemble.qubit_labels)
-    scaled = np.zeros((r, dim), dtype=np.complex128)
-    for h, (p, state) in enumerate(ensemble.members):
-        scaled[h] = math.sqrt(p) * state.amplitudes
-    mixed = mixing @ scaled
-    members = []
-    for row in mixed:
-        p = float(np.vdot(row, row).real)
-        if p >= PROB_FLOOR:
-            members.append((p, StateVector(len(ensemble.qubit_labels),
-                                           row / math.sqrt(p))))
-    return WeightedEnsemble(ensemble.qubit_labels, tuple(members))
+    padded = np.zeros((r, rows.shape[1]), dtype=np.complex128)
+    padded[:len(rows)] = rows
+    return mixing @ padded
 
 
 def _random_unitary(r: int, rng: np.random.Generator) -> np.ndarray:
@@ -431,7 +387,8 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     config : RoofConfig
         Search budget; identical configs give bit-identical results.
 
-    The search pads the eigen-ensemble to rank + padding rows.  A budget
+    The search mixes the eigen-rows, zero-padded to rank + padding rows;
+    restart 0 starts from the eigen-rows themselves.  A budget
     exhausted without meeting the sweep tolerance yields converged=False
     with the best value found, never an exception.
     """
@@ -441,15 +398,12 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
         raise InputError(
             f"rho acts on {rho.qubit_labels}, expected {expected}"
         )
-    ensemble = canonical_ensemble(rho)
-    rank = len(ensemble.members)
-    r = rank + config.padding
-    dim = 1 << rho.num_qubits
-    base = np.zeros((r, dim), dtype=np.complex128)
-    for h, (p, state) in enumerate(ensemble.members):
-        base[h] = math.sqrt(p) * state.amplitudes
-
+    rows = canonical_ensemble(rho)
+    r = len(rows) + config.padding
     objective = _Objective(pure_functional)
+    # generic functionals pay real money per evaluation; lean on restarts
+    # there and keep the kick escape for polynomial leaves
+    kicks = _KICKS if objective.poly is not None else 1
     best_obj = math.inf
     best_mixing = np.eye(r, dtype=np.complex128)
     converged = False
@@ -458,38 +412,31 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     for restart in range(config.restarts):
         restarts_used = restart + 1
         rng = np.random.default_rng([config.seed, restart])
-        if restart == 0:
-            U = np.eye(r, dtype=np.complex128)
-            M = base.copy()
-        else:
-            U = _random_unitary(r, rng)
-            M = U @ base
+        U = (np.eye(r, dtype=np.complex128) if restart == 0
+             else _random_unitary(r, rng))
+        M = hjw_mix(rows, U)
         w = np.array([objective.contribution(M[h]) for h in range(r)])
         obj = float(w.sum())
         if obj * obj <= EARLY_STOP_VALUE:
             best_obj, best_mixing, converged = obj, U, True
             break
-        obj, clean = _descend(M, U, w, objective, config)
-        restart_best, restart_mix = obj, U.copy()
-        # generic functionals pay real money per evaluation; lean on
-        # restarts there and keep the kick escape for polynomial leaves
-        kicks = _KICKS if objective.poly is not None else 1
-        for _ in range(kicks):
-            if obj * obj <= EARLY_STOP_VALUE or r < 2:
-                break
-            i, j = sorted(rng.choice(r, size=2, replace=False))
-            _apply_rotation(M, U, int(i), int(j),
-                            rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
-                            rng.uniform(0.0, math.pi))
-            w[i] = objective.contribution(M[i])
-            w[j] = objective.contribution(M[j])
+        clean = True
+        # kick 0 is the first descent; each later one starts from a random
+        # pair rotation of where the previous descent stopped
+        for kick in range(1 + kicks):
+            if kick:
+                if obj * obj <= EARLY_STOP_VALUE or r < 2:
+                    break
+                i, j = sorted(rng.choice(r, size=2, replace=False))
+                _apply_rotation(M, U, int(i), int(j),
+                                rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
+                                rng.uniform(0.0, math.pi))
+                w[i] = objective.contribution(M[i])
+                w[j] = objective.contribution(M[j])
             obj, seg_clean = _descend(M, U, w, objective, config)
             clean = clean and seg_clean
-            if obj < restart_best:
-                restart_best, restart_mix = obj, U.copy()
-        if restart_best < best_obj:
-            best_obj = restart_best
-            best_mixing = restart_mix
+            if obj < best_obj:
+                best_obj, best_mixing = obj, U.copy()
         converged = converged or clean
         if best_obj * best_obj <= EARLY_STOP_VALUE:
             converged = True

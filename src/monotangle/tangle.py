@@ -232,12 +232,12 @@ class TermRecord:
 
 
 def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
-          config):
+          config) -> TermRecord:
     """Mixed m-tangle of the reduction of raw `amps` onto fpos plus partners.
 
-    Returns (value, roof_result).  For m = 2 the concurrence closed form,
-    taken from the pure-state factor of the reduction, is exact and
-    roof_result is None.  For m >= 3 a roof search evaluates
+    Returns the term's record.  For m = 2 the concurrence closed form,
+    taken from the pure-state factor of the reduction, is exact and the
+    record's roof is None.  For m >= 3 a roof search evaluates
     each decomposition member with a pure m-tangle leaf: the
     hyperdeterminant :func:`pure_three_tangle` for m = 3, and for m >= 4
     the leaf that recurses through :func:`_hierarchy`, where
@@ -248,11 +248,9 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     positions = tuple(p - 1 for p in kept)
     m = len(kept)
     if m == 2:
-        return _factor_concurrence(_pure_factor(amps, n, positions)) ** 2, None
+        value = _factor_concurrence(_pure_factor(amps, n, positions)) ** 2
+        return TermRecord(partners, m, value, None)
     rho = DensityOperator(kept, _reduced_from_pure(amps, n, positions))
-    if m == 3:
-        result = _roof_minimize(rho, fpos, partners, pure_three_tangle, config)
-        return result.value, result
     convergence_log: list[bool] = []
     member_fpos = kept.index(fpos) + 1
 
@@ -262,10 +260,11 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
             config, convergence_log,
         )
 
-    result = _roof_minimize(rho, fpos, partners, pure_functional, config)
+    leaf = pure_three_tangle if m == 3 else pure_functional
+    result = _roof_minimize(rho, fpos, partners, leaf, config)
     if not all(convergence_log):
         result = dataclasses.replace(result, converged=False)
-    return result.value, result
+    return TermRecord(partners, m, result.value, result)
 
 
 def _hierarchy(amps: np.ndarray, n: int, fpos: int, config,
@@ -277,11 +276,9 @@ def _hierarchy(amps: np.ndarray, n: int, fpos: int, config,
     exclude the hub; each subset is counted once.
     """
     others = tuple(p for p in range(1, n + 1) if p != fpos)
-    terms = []
-    for m in range(2, (n - 1 if top is None else top) + 1):
-        for partners in combinations(others, m - 1):
-            value, result = _term(amps, n, fpos, partners, config)
-            terms.append(TermRecord(partners, m, value, result))
+    terms = [_term(amps, n, fpos, partners, config)
+             for m in range(2, (n - 1 if top is None else top) + 1)
+             for partners in combinations(others, m - 1)]
     return _one_tangle_raw(amps, n, fpos), terms
 
 
@@ -314,11 +311,13 @@ def _pure_m_tangle_amps(amps: np.ndarray, m: int, fpos: int, config,
     return _fold(one, terms)
 
 
-def mixed_tangle_term(state: StateVector, focus: int, partners, config):
+def mixed_tangle_term(state: StateVector, focus: int, partners,
+                      config) -> TermRecord:
     """Mixed m-tangle of the reduction of `state` onto focus plus `partners`.
 
-    Returns (value, roof_result); roof_result is None for m = 2, where the
-    concurrence closed form is exact and no search is needed.
+    Returns the term's record, with partners sorted; its roof is None for
+    m = 2, where the concurrence closed form is exact and no search is
+    needed.
     """
     _check_focus(state, focus)
     partners = as_subset(partners)

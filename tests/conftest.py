@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from monotangle.qstate import DensityOperator, StateVector
+from monotangle.qstate import PROB_FLOOR, DensityOperator, StateVector
 
 
 def oracle_partial_trace(mat: np.ndarray, labels, keep_labels) -> np.ndarray:
@@ -69,6 +71,16 @@ def ckw_three_tangle(amps: np.ndarray) -> float:
     d3 = (a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
           + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0])
     return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
+def members(rows: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(p, row / sqrt(p)) for every decomposition row with p >= PROB_FLOOR."""
+    out = []
+    for row in rows:
+        p = float(np.vdot(row, row).real)
+        if p >= PROB_FLOOR:
+            out.append((p, row / math.sqrt(p)))
+    return out
 
 
 def random_mixed_2q(seed: int) -> DensityOperator:

@@ -31,7 +31,7 @@ from monotangle.wclass import (
     wclass_state,
     wclass_two_tangle,
 )
-from .conftest import random_mixed_2q
+from .conftest import members, random_mixed_2q
 
 # Pinned budgets.  Criterion 1 runs at the full default roof budget; the
 # two-qubit oracle sweep uses a reduced, validated budget to fit its
@@ -248,15 +248,15 @@ def test_c8_decomposition_independence(w3):
     """Criterion 8: the ensemble objective of the symmetric three-qubit
     state's pair reduction is 2/3 for every decomposition."""
     rho = reduce_pure_state(w3, (1, 2))
-    ensemble = canonical_ensemble(rho)
+    rows = canonical_ensemble(rho)
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(100):
         r = int(rng.integers(2, 6))
-        mixed = hjw_mix(ensemble, _random_unitary(r, rng))
+        mixed = hjw_mix(rows, _random_unitary(r, rng))
         objective = sum(
-            p * np.sqrt(max(0.0, pure_functional_2q(state.amplitudes)))
-            for p, state in mixed.members
+            p * np.sqrt(max(0.0, pure_functional_2q(member)))
+            for p, member in members(mixed)
         )
         worst = max(worst, abs(objective - 2 / 3))
         assert objective == pytest.approx(2 / 3, abs=1e-8)

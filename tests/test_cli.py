@@ -77,6 +77,12 @@ class TestWclassGen:
                                  str(tmp_path / "x.json")])
         assert result.exit_code == 2
 
+    def test_unwritable_out_is_input_error(self, runner, tmp_path):
+        result = invoke(runner, ["wclass-gen", "--n", "3", "--w", "--out",
+                                 str(tmp_path / "missing" / "x.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
     def test_too_many_qubits_is_input_error(self, runner, tmp_path):
         result = invoke(runner, ["wclass-gen", "--n", "64", "--w", "--out",
                                  str(tmp_path / "x.json")])
@@ -296,6 +302,13 @@ class TestBatch:
         result = invoke(runner, ["batch", "--family", "wclass", "--n", "3",
                                  "--samples", "0", "--seed", "1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_exit_2(self, runner, jobs):
+        result = invoke(runner, ["batch", "--family", "wclass", "--n", "3",
+                                 "--samples", "1", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
 
     def test_bad_range_exit_2(self, runner):
         result = invoke(runner, ["batch", "--family", "wclass", "--n", "x..y",

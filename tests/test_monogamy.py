@@ -12,12 +12,14 @@ from monotangle.monogamy import (
     sweep_foci,
     verify_saturation,
 )
+from monotangle import roof
 from monotangle.qstate import (
     InputError,
+    StateVector,
     haar_random_state,
     ket_from_basis_terms,
 )
-from monotangle.roof import RoofConfig
+from monotangle.roof import EARLY_STOP_VALUE, RoofConfig
 from monotangle.tangle import n_tangle_pure
 from monotangle.wclass import (
     WClassParams,
@@ -25,6 +27,7 @@ from monotangle.wclass import (
     wclass_random,
     wclass_state,
 )
+from .test_acceptance import C1_CFG
 
 CFG = RoofConfig(seed=17)
 CFG_SMALL = RoofConfig(seed=17, restarts=4, max_sweeps=60)
@@ -88,6 +91,20 @@ class TestSmResidual:
             assert t.converged
         assert abs(report.sm_residual) <= 1e-6
         assert report.saturated_sm
+
+    def test_three_qubit_verdicts_share_the_closed_tolerance(self):
+        # no roof enters at n = 3, so the SM verdict is closed-form
+        # arithmetic like CKW: a residual of 3e-7 is not saturation
+        amps = np.zeros(8, dtype=complex)
+        amps[[4, 2, 1]] = 3 ** -0.5
+        amps[[0, 7]] = 1e-7
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        report = sm_residual(state, 1, CFG)
+        assert report.sm_residual == pytest.approx(3.08e-7, rel=1e-3)
+        assert report.sm_residual == report.ckw_residual
+        assert not report.saturated_ckw
+        assert not report.saturated_sm
+        assert not report.sm_violation
 
     def test_ghz4_slack_not_violation(self):
         report = sm_residual(ghz(4), 1, CFG)
@@ -174,6 +191,30 @@ class TestVerifySaturation:
         report = verify_saturation(wclass_random(6, 4321), CFG)
         assert report.saturated_sm
         assert abs(report.sm_residual) <= 1e-6
+
+    def test_roofs_stop_at_the_eigen_ensemble(self, monkeypatch):
+        # every member of a W-class reduction has zero m-tangle, so each
+        # roof is a certified zero on the eigen-rows of restart 0 and no
+        # pair step runs; this is what keeps criterion 1 fast
+        steps = []
+        pair_step = roof._pair_step
+
+        def counted(*args):
+            steps.append(args[3:5])
+            return pair_step(*args)
+
+        monkeypatch.setattr(roof, "_pair_step", counted)
+        params = [wclass_random(n, 500 + n) for n in (4, 5, 6)]
+        params += [w_state_params(5), w_state_params(6)]
+        for p in params:
+            report = verify_saturation(p, C1_CFG)
+            roofs = [t for t in report.terms if t.m >= 3]
+            assert roofs
+            for term in roofs:
+                assert term.restarts_used == 1
+                assert term.converged
+                assert term.value <= EARLY_STOP_VALUE
+        assert steps == []
 
 
 class TestSweepFoci:

@@ -17,7 +17,6 @@ from monotangle.roof import (
     _SCAN_PHI,
     _SCAN_THETA,
     RoofConfig,
-    WeightedEnsemble,
     _binary_form,
     _Objective,
     _pair_profile,
@@ -33,55 +32,64 @@ from monotangle.tangle import (
     pure_three_tangle,
 )
 from monotangle.wclass import wclass_random, wclass_reduction, wclass_state
-from .conftest import ckw_three_tangle, random_mixed_2q, random_pure_state
+from .conftest import (
+    ckw_three_tangle,
+    members,
+    random_mixed_2q,
+    random_pure_state,
+)
 
 # mirrors the acceptance configuration for two-qubit roof searches
 CFG_2Q = RoofConfig(seed=7, restarts=4, padding=2, max_sweeps=40, tol=1e-8)
 
 
-def ensemble_objective(ensemble) -> float:
-    """sum_h p_h sqrt(tau_h) evaluated directly on ensemble members."""
+def ensemble_objective(rows) -> float:
+    """sum_h p_h sqrt(tau_h) evaluated directly on decomposition members."""
     return sum(
-        p * np.sqrt(max(0.0, pure_functional_2q(state.amplitudes)))
-        for p, state in ensemble.members
+        p * np.sqrt(max(0.0, pure_functional_2q(member)))
+        for p, member in members(rows)
     )
+
+
+def density(rows) -> np.ndarray:
+    """sum_h p_h |psi_h><psi_h| of a decomposition given by its rows."""
+    return rows.T @ rows.conj()
 
 
 class TestCanonicalEnsemble:
     def test_rank_one_projector(self, bell_state):
-        ens = canonical_ensemble(density_from_pure(bell_state))
-        assert len(ens.members) == 1
-        assert ens.members[0][0] == pytest.approx(1.0, abs=1e-12)
+        rows = canonical_ensemble(density_from_pure(bell_state))
+        assert len(rows) == 1
+        assert members(rows)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         rho = DensityOperator((1,), np.eye(2, dtype=complex) / 2)
-        ens = canonical_ensemble(rho)
-        assert sorted(p for p, _ in ens.members) == pytest.approx([0.5, 0.5])
+        rows = canonical_ensemble(rho)
+        assert sorted(p for p, _ in members(rows)) == pytest.approx([0.5, 0.5])
 
     def test_w_pair_reduction_rank_two(self, w3):
         rho = reduce_pure_state(w3, (1, 2))
-        ens = canonical_ensemble(rho)
-        assert len(ens.members) == 2
-        assert_allclose(ens.to_density().matrix, rho.matrix, atol=1e-9)
+        rows = canonical_ensemble(rho)
+        assert len(rows) == 2
+        assert_allclose(density(rows), rho.matrix, atol=1e-9)
 
 
 class TestHjwMix:
     def test_identity_keeps_ensemble(self, w3):
-        ens = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
-        mixed = hjw_mix(ens, np.eye(len(ens.members)))
-        probs = sorted(p for p, _ in mixed.members)
-        assert probs == pytest.approx(sorted(p for p, _ in ens.members))
-        assert_allclose(mixed.to_density().matrix, ens.to_density().matrix,
-                        atol=1e-12)
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        mixed = hjw_mix(rows, np.eye(len(rows)))
+        probs = sorted(p for p, _ in members(mixed))
+        assert probs == pytest.approx(sorted(p for p, _ in members(rows)))
+        assert_allclose(density(mixed), density(rows), atol=1e-12)
 
     def test_permutation_swaps_members(self, w3):
-        ens = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        mixed = hjw_mix(ens, swap)
-        assert mixed.members[0][0] == pytest.approx(ens.members[1][0])
+        mixed = hjw_mix(rows, swap)
+        assert members(mixed)[0][0] == pytest.approx(members(rows)[1][0])
         assert_allclose(
-            np.abs(mixed.members[0][1].amplitudes),
-            np.abs(ens.members[1][1].amplitudes),
+            np.abs(members(mixed)[0][1]),
+            np.abs(members(rows)[1][1]),
             atol=1e-12,
         )
 
@@ -89,33 +97,33 @@ class TestHjwMix:
     @given(seed=st.integers(0, 10 ** 6), r=st.integers(2, 5))
     def test_reconstruction_preserved(self, seed, r):
         rho = random_mixed_2q(seed)
-        ens = canonical_ensemble(rho)
-        if r < len(ens.members):
-            r = len(ens.members)
+        rows = canonical_ensemble(rho)
+        if r < len(rows):
+            r = len(rows)
         mixing = _random_unitary(r, np.random.default_rng(seed + 1))
-        mixed = hjw_mix(ens, mixing)
-        assert_allclose(mixed.to_density().matrix, rho.matrix, atol=1e-9)
+        mixed = hjw_mix(rows, mixing)
+        assert_allclose(density(mixed), rho.matrix, atol=1e-9)
 
     def test_non_unitary_rejected(self, w3):
-        ens = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
         with pytest.raises(InputError):
-            hjw_mix(ens, np.ones((2, 2), dtype=complex))
+            hjw_mix(rows, np.ones((2, 2), dtype=complex))
 
     def test_too_small_mixing_rejected(self, w3):
-        ens = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
         with pytest.raises(InputError):
-            hjw_mix(ens, np.eye(1, dtype=complex))
+            hjw_mix(rows, np.eye(1, dtype=complex))
 
 
 class TestDecompositionIndependence:
     def test_w_pair_objective_constant(self, w3):
         # every decomposition of the W pair reduction gives the same
         # objective 2 |b_1| |b_2| = 2/3
-        ens = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
         rng = np.random.default_rng(99)
         for _ in range(30):
             r = int(rng.integers(2, 5))
-            mixed = hjw_mix(ens, _random_unitary(r, rng))
+            mixed = hjw_mix(rows, _random_unitary(r, rng))
             assert ensemble_objective(mixed) == pytest.approx(2 / 3, abs=1e-10)
 
     def test_member_tangle_tracks_mixing_weight(self):
@@ -124,14 +132,15 @@ class TestDecompositionIndependence:
         params = wclass_random(3, 31)
         red = wclass_reduction(params, (1, 2))
         vac = ket_from_basis_terms(2, [("00", 1.0)])
-        ens = WeightedEnsemble((1, 2), ((red.p, red.x_state), (red.q, vac)))
+        rows = np.array([math.sqrt(red.p) * red.x_state.amplitudes,
+                         math.sqrt(red.q) * vac.amplitudes])
         rng = np.random.default_rng(13)
         scale = 4 * abs(params.b[0]) ** 2 * abs(params.b[1]) ** 2
         for _ in range(10):
             mixing = _random_unitary(2, rng)
-            mixed = hjw_mix(ens, mixing)
-            for h, (p, member) in enumerate(mixed.members):
-                tau = pure_functional_2q(member.amplitudes)
+            mixed = hjw_mix(rows, mixing)
+            for h, (p, member) in enumerate(members(mixed)):
+                tau = pure_functional_2q(member)
                 assert p ** 2 * tau == pytest.approx(
                     abs(mixing[h, 0]) ** 4 * scale, abs=1e-12
                 )
@@ -162,9 +171,9 @@ class TestMTangleMixed:
         params = wclass_random(4, 77)
         state = wclass_state(params)
         for partners in ((2, 3), (2, 4), (3, 4)):
-            value, result = mixed_tangle_term(state, 1, partners, cfg)
-            assert value <= 1e-6
-            assert result.converged
+            term = mixed_tangle_term(state, 1, partners, cfg)
+            assert term.value <= 1e-6
+            assert term.roof.converged
 
     def test_seed_determinism(self):
         rho = random_mixed_2q(1234)
@@ -288,8 +297,8 @@ class TestPolynomialLeaves:
                 rho = reduce_pure_state(state, (1,) + partners)
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
                 mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
-                total = sum(p * math.sqrt(ckw_three_tangle(member.amplitudes))
-                            for p, member in mixed.members)
+                total = sum(p * math.sqrt(ckw_three_tangle(member))
+                            for p, member in members(mixed))
                 assert total ** 2 == pytest.approx(result.value, abs=1e-10)
                 assert result.min_pure_tangle_seen >= 0.0
                 checked += 1
@@ -310,12 +319,3 @@ class TestRoofConfig:
         with pytest.raises(InputError):
             RoofConfig(tol=0.0)
 
-
-class TestWeightedEnsemble:
-    def test_probabilities_must_sum_to_one(self, bell_state):
-        with pytest.raises(InputError):
-            WeightedEnsemble((1, 2), ((0.5, bell_state),))
-
-    def test_nonpositive_probability_rejected(self, bell_state):
-        with pytest.raises(InputError):
-            WeightedEnsemble((1, 2), ((1.5, bell_state), (-0.5, bell_state)))

@@ -25,7 +25,12 @@ from monotangle.tangle import (
     pure_three_tangle,
     two_tangle,
 )
-from .conftest import ckw_three_tangle, permute_qubits, random_pure_state
+from .conftest import (
+    ckw_three_tangle,
+    members,
+    permute_qubits,
+    random_pure_state,
+)
 
 CFG = RoofConfig(seed=11, restarts=4, max_sweeps=60)
 
@@ -202,8 +207,9 @@ class TestNTanglePure:
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
                                         cfg)
                 mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
-                for _, member in mixed.members:
-                    exact = ckw_three_tangle(member.amplitudes)
+                for _, amps in members(mixed):
+                    exact = ckw_three_tangle(amps)
+                    member = StateVector(3, amps)
                     for hub in (1, 2, 3):
                         assert n_tangle_pure(member, hub, CFG).value == (
                             pytest.approx(exact, abs=1e-12)
