@@ -32,20 +32,12 @@ from .monogamy import (
     DEFAULT_MAX_SM_QUBITS,
     DEFAULT_TOL_CLOSED,
     DEFAULT_TOL_ROOF,
-    MonogamyReport,
     ckw_residual,
     max_m3plus_term,
     sm_residual,
     sweep_foci,
 )
-from .qstate import (
-    InputError,
-    StateVector,
-    haar_random_state,
-    load_state,
-    save_state,
-    state_to_dict,
-)
+from .qstate import InputError, haar_random_state, load_state, save_state
 from .roof import RoofConfig
 from .tangle import mixed_tangle_term, one_tangle
 from .wclass import (
@@ -65,14 +57,25 @@ EXIT_VIOLATION = 3
 _MAX_QUBITS_ENV = "MONOTANGLE_MAX_QUBITS"
 
 
-def _qubit_cap() -> int:
+def _qubit_cap(n: int) -> int:
+    """The SM qubit cap, checked against an n-qubit hierarchy.
+
+    Read only where a hierarchy is capped, so that commands and modes that
+    apply no cap never fail on the variable.
+    """
     raw = os.environ.get(_MAX_QUBITS_ENV)
     if raw is None:
-        return DEFAULT_MAX_SM_QUBITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{_MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
+        cap = DEFAULT_MAX_SM_QUBITS
+    else:
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise InputError(
+                f"{_MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
+    if n > cap:
+        raise InputError(f"{n} qubits exceeds the cap of {cap}; set "
+                         f"{_MAX_QUBITS_ENV} to override")
+    return cap
 
 
 def _manifest(seed: int, config: RoofConfig, input_path=None, output_path=None):
@@ -230,7 +233,6 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             "focus": focus,
             "num_qubits": n,
         }
-        cap = _qubit_cap()
         if partners:
             term = mixed_tangle_term(state, focus, _parse_partners(partners),
                                      config)
@@ -248,12 +250,8 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             payload["converged"] = True
             _summary(f"two-tangle: {_sci(tau)}")
         else:
-            if n > cap:
-                raise InputError(
-                    f"{n} qubits exceeds the cap of {cap}; set "
-                    f"{_MAX_QUBITS_ENV} to override"
-                )
-            report = sm_residual(state, focus, config, max_qubits=cap)
+            report = sm_residual(state, focus, config,
+                                 max_qubits=_qubit_cap(n))
             payload["mode"] = "hierarchy"
             payload["one_tangle"] = report.one_tangle
             payload["terms"] = [t.to_json_dict() for t in report.terms]
@@ -330,7 +328,7 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
             source = state_file
         else:
             raise InputError("need a STATE_FILE argument or --wclass")
-        cap = _qubit_cap()
+        cap = _qubit_cap(state.num_qubits)
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         kwargs = dict(tol_closed=tol_closed, tol_roof=tol_roof,
                       max_qubits=cap)
@@ -427,15 +425,9 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
         if jobs < 1:
             raise InputError(f"jobs must be >= 1, got {jobs}")
         ns = _parse_n_range(n_range)
-        cap = _qubit_cap()
-        for n in ns:
-            if n < 3:
-                raise InputError("batch families need n >= 3")
-            if n > cap:
-                raise InputError(
-                    f"n={n} exceeds the cap of {cap}; set "
-                    f"{_MAX_QUBITS_ENV} to override"
-                )
+        if ns[0] < 3:
+            raise InputError("batch families need n >= 3")
+        cap = _qubit_cap(ns[-1])
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         tasks = [
             {

@@ -6,9 +6,11 @@ rows, the scaled members sqrt(p_h) psi_h: p_h is the squared norm of row
 h, and zero rows are members with p_h = 0.  By Hughston, Jozsa & Wootters
 (Phys. Lett. A 183, 14, 1993) every size-R decomposition of rho is an
 R x R unitary times the eigen-rows (:func:`canonical_ensemble`, padded with
-zero rows; :func:`hjw_mix`), so the search space is the unitary group:
-the optimizer walks it with successive two-row Givens rotations, refining
-each rotation angle by golden section, from several seeded starts.
+zero rows; :func:`hjw_mix`), so the search space is the unitary group.
+Each start mixes the eigen-rows once; from there the search state is the
+rows themselves and their contributions, walked by successive two-row
+Givens rotations with each angle refined by golden section, and the
+result carries the best rows found.
 
 Leaves whose square root is 2 |P|^(2/d) for a homogeneous polynomial P of
 degree d -- the two-tangle (d = 2) and the Cayley-hyperdeterminant
@@ -100,8 +102,8 @@ class RoofResult:
     """Outcome of one roof search.
 
     value:  the minimized [sum p_h sqrt(tau_h)]^2 over everything searched.
-    best_mixing: the unitary U whose rows hjw_mix(canonical_ensemble(rho),
-        U) are the best decomposition found.
+    best_rows: the best decomposition found, as scaled-member rows R
+        with rho = R^T R* up to round-off.
     min_pure_tangle_seen: smallest raw pure tangle evaluated anywhere in
         the search, before clamping; significantly negative values are
         evidence worth surfacing, not errors.  Polynomial leaves (levels
@@ -109,7 +111,7 @@ class RoofResult:
     """
 
     value: float
-    best_mixing: np.ndarray
+    best_rows: np.ndarray
     restarts_used: int
     converged: bool
     min_pure_tangle_seen: float
@@ -270,42 +272,38 @@ def _scan_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return radial, np.exp(1j * np.outer(k, _SCAN_PHI))
 
 
-def _apply_rotation(M, U, i, j, theta: float, phi: float) -> None:
-    """Apply the phased Givens rotation (theta, phi) to rows (i, j) of M and U."""
+def _apply_rotation(M, i, j, theta: float, phi: float) -> None:
+    """Apply the phased Givens rotation (theta, phi) to rows (i, j) of M."""
     c = math.cos(theta)
     s = math.sin(theta)
     eip = complex(math.cos(phi), math.sin(phi))
-    eipc = eip.conjugate()
     vi = M[i].copy()
     M[i] = c * vi + (eip * s) * M[j]
-    M[j] = c * M[j] - (eipc * s) * vi
-    ui = U[i].copy()
-    U[i] = c * ui + (eip * s) * U[j]
-    U[j] = c * U[j] - (eipc * s) * ui
+    M[j] = c * M[j] - (eip.conjugate() * s) * vi
 
 
-def _descend(M, U, w, objective, config) -> tuple[float, bool]:
-    """Sweep pair rotations until stalled, certified zero, or out of sweeps.
+def _descend(M, w, objective, config) -> tuple[float, bool]:
+    """Sweep pair rotations until certified zero, stalled, or out of sweeps.
 
     Returns (objective value, clean); clean is False when max_sweeps ran
-    out before the sweep-improvement tolerance was met.
+    out before the sweep-improvement tolerance was met or a zero certified.
     """
     r = M.shape[0]
     obj = float(w.sum())
     for _ in range(config.max_sweeps):
+        if obj * obj <= EARLY_STOP_VALUE:
+            return obj, True
         before = obj
         for i in range(r - 1):
             for j in range(i + 1, r):
-                _pair_step(M, U, w, i, j, objective)
+                _pair_step(M, objective, w, i, j)
         obj = float(w.sum())
-        if obj * obj <= EARLY_STOP_VALUE:
-            return obj, True
         if before - obj < config.tol:
             return obj, True
-    return obj, False
+    return obj, obj * obj <= EARLY_STOP_VALUE
 
 
-def _pair_step(M, U, w, i, j, objective) -> None:
+def _pair_step(M, objective, w, i, j) -> None:
     """Best phased Givens rotation on rows (i, j); applied if it improves.
 
     The rotation with angle t and phase f sends
@@ -321,8 +319,8 @@ def _pair_step(M, U, w, i, j, objective) -> None:
     current = w[i] + w[j]
     if current <= 0.0:
         return  # contributions are nonnegative: this pair cannot improve
-    vi = M[i].copy()
-    vj = M[j].copy()
+    vi = M[i]
+    vj = M[j]
 
     if objective.poly is not None:
         d, poly = objective.poly
@@ -367,7 +365,7 @@ def _pair_step(M, U, w, i, j, objective) -> None:
         phi, best = p_ref, f_p
     if best >= current:
         return
-    _apply_rotation(M, U, i, j, theta, phi)
+    _apply_rotation(M, i, j, theta, phi)
     w[i] = objective.contribution(M[i])
     w[j] = objective.contribution(M[j])
 
@@ -405,21 +403,16 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     # there and keep the kick escape for polynomial leaves
     kicks = _KICKS if objective.poly is not None else 1
     best_obj = math.inf
-    best_mixing = np.eye(r, dtype=np.complex128)
+    best_rows = hjw_mix(rows, np.eye(r))
     converged = False
     restarts_used = 0
 
     for restart in range(config.restarts):
         restarts_used = restart + 1
         rng = np.random.default_rng([config.seed, restart])
-        U = (np.eye(r, dtype=np.complex128) if restart == 0
-             else _random_unitary(r, rng))
-        M = hjw_mix(rows, U)
+        M = hjw_mix(rows, np.eye(r) if restart == 0 else _random_unitary(r, rng))
         w = np.array([objective.contribution(M[h]) for h in range(r)])
         obj = float(w.sum())
-        if obj * obj <= EARLY_STOP_VALUE:
-            best_obj, best_mixing, converged = obj, U, True
-            break
         clean = True
         # kick 0 is the first descent; each later one starts from a random
         # pair rotation of where the previous descent stopped
@@ -428,15 +421,15 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
                 if obj * obj <= EARLY_STOP_VALUE or r < 2:
                     break
                 i, j = sorted(rng.choice(r, size=2, replace=False))
-                _apply_rotation(M, U, int(i), int(j),
+                _apply_rotation(M, int(i), int(j),
                                 rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
                                 rng.uniform(0.0, math.pi))
                 w[i] = objective.contribution(M[i])
                 w[j] = objective.contribution(M[j])
-            obj, seg_clean = _descend(M, U, w, objective, config)
+            obj, seg_clean = _descend(M, w, objective, config)
             clean = clean and seg_clean
             if obj < best_obj:
-                best_obj, best_mixing = obj, U.copy()
+                best_obj, best_rows = obj, M.copy()
         converged = converged or clean
         if best_obj * best_obj <= EARLY_STOP_VALUE:
             converged = True
@@ -445,7 +438,7 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     min_seen = objective.min_tau if objective.min_tau != math.inf else 0.0
     return RoofResult(
         value=float(best_obj * best_obj),
-        best_mixing=best_mixing,
+        best_rows=best_rows,
         restarts_used=restarts_used,
         converged=converged,
         min_pure_tangle_seen=float(min_seen),

@@ -255,10 +255,8 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     member_fpos = kept.index(fpos) + 1
 
     def pure_functional(member: np.ndarray) -> float:
-        return _pure_m_tangle_amps(
-            np.asarray(member, dtype=np.complex128), m, member_fpos,
-            config, convergence_log,
-        )
+        return _pure_m_tangle_amps(member, m, member_fpos, config,
+                                   convergence_log)
 
     leaf = pure_three_tangle if m == 3 else pure_functional
     result = _roof_minimize(rho, fpos, partners, leaf, config)

@@ -48,14 +48,6 @@ def permute_qubits(state: StateVector, perm) -> StateVector:
     return StateVector(n, out)
 
 
-def random_pure_state(num_qubits: int, seed: int) -> StateVector:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2 ** num_qubits) + 1j * rng.standard_normal(
-        2 ** num_qubits
-    )
-    return StateVector(num_qubits, v / np.linalg.norm(v))
-
-
 def ckw_three_tangle(amps: np.ndarray) -> float:
     """Pure three-tangle 4 |d1 - 2 d2 + 4 d3| in the expanded form of
     Coffman, Kundu & Wootters (PRA 61, 052306, 2000)."""

@@ -24,8 +24,6 @@ from monotangle.tangle import (
 from monotangle.monogamy import ckw_residual
 from monotangle.roof import m_tangle_mixed
 from monotangle.wclass import (
-    w_state_params,
-    wclass_one_tangle,
     wclass_random,
     wclass_reduction,
     wclass_state,

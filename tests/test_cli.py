@@ -149,6 +149,18 @@ class TestTangle:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    def test_uncapped_modes_ignore_the_cap_variable(self, runner, tmp_path,
+                                                   monkeypatch, w3):
+        # reduction mode evaluates no hierarchy, so it never reads the cap
+        state_file = tmp_path / "w3.json"
+        save_state(w3, state_file)
+        monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", "abc")
+        result = invoke(runner, ["tangle", str(state_file), "--partners", "2"])
+        assert result.exit_code == 0
+        result = invoke(runner, ["tangle", str(state_file)])
+        assert result.exit_code == 2
+        assert "MONOTANGLE_MAX_QUBITS must be an integer" in result.stderr
+
     def test_malformed_state_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -226,9 +238,18 @@ class TestSmCheck:
         state_file = tmp_path / "w4.json"
         save_state(state4, state_file)
         monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", "3")
+        cap_error = ("error: 4 qubits exceeds the cap of 3; set "
+                     "MONOTANGLE_MAX_QUBITS to override\n")
         result = invoke(runner, ["sm-check", str(state_file),
                                  "--out", str(tmp_path / "x.json")])
         assert result.exit_code == 2
+        assert result.stderr == cap_error
+        for args in (["tangle", str(state_file)],
+                     ["batch", "--family", "wclass", "--n", "3..4",
+                      "--samples", "1"]):
+            result = invoke(runner, args)
+            assert result.exit_code == 2
+            assert result.stderr == cap_error
         monkeypatch.delenv("MONOTANGLE_MAX_QUBITS")
         result = invoke(runner, ["sm-check", str(state_file), "--restarts",
                                  "4", "--out", str(tmp_path / "y.json")])

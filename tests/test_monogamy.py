@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from monotangle.monogamy import (
-    MonogamyReport,
     ckw_residual,
     max_m3plus_term,
     sm_residual,

@@ -24,7 +24,7 @@ from monotangle.qstate import (
     state_from_dict,
     state_to_dict,
 )
-from .conftest import oracle_partial_trace, random_pure_state
+from .conftest import oracle_partial_trace
 
 
 class TestKetFromBasisTerms:
@@ -146,7 +146,7 @@ class TestPartialTrace:
     def test_matches_bruteforce_oracle(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
-        state = random_pure_state(n, 100 + seed)
+        state = haar_random_state(n, 100 + seed)
         rho = density_from_pure(state)
         size = int(rng.integers(1, n))
         keep = tuple(sorted(rng.choice(np.arange(1, n + 1), size=size,
@@ -171,7 +171,7 @@ class TestPartialTrace:
     def test_raw_fast_path_matches_every_subset(self):
         # the tangle recursion reduces raw amplitudes without validation,
         # including keep = every qubit
-        state = random_pure_state(4, 77)
+        state = haar_random_state(4, 77)
         rho = density_from_pure(state)
         for size in range(1, 5):
             for keep in combinations((1, 2, 3, 4), size):
@@ -198,7 +198,7 @@ class TestPartialTraceProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5))
     def test_trace_preserved(self, seed, n):
-        state = random_pure_state(n, seed)
+        state = haar_random_state(n, seed)
         rho = density_from_pure(state)
         keep = (1,) if n == 2 else tuple(range(1, n))
         reduced = partial_trace(rho, keep)
@@ -207,7 +207,7 @@ class TestPartialTraceProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_chained_reduction_consistent(self, seed):
-        state = random_pure_state(4, seed)
+        state = haar_random_state(4, seed)
         rho = density_from_pure(state)
         via_mid = partial_trace(partial_trace(rho, (1, 2, 4)), (1, 4))
         direct = partial_trace(rho, (1, 4))
@@ -216,8 +216,8 @@ class TestPartialTraceProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_tensor_product_factorizes(self, seed):
-        left = random_pure_state(2, seed)
-        right = random_pure_state(2, seed + 1)
+        left = haar_random_state(2, seed)
+        right = haar_random_state(2, seed + 1)
         product = StateVector(4, np.kron(left.amplitudes, right.amplitudes))
         reduced = partial_trace(density_from_pure(product), (1, 2))
         expected = np.outer(left.amplitudes, left.amplitudes.conj())
@@ -226,7 +226,7 @@ class TestPartialTraceProperties:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5))
     def test_eigenvalues_physical(self, seed, n):
-        state = random_pure_state(n, seed)
+        state = haar_random_state(n, seed)
         reduced = reduce_pure_state(state, (1,))
         evals = np.linalg.eigvalsh(reduced.matrix)
         assert evals[0] >= -1e-10

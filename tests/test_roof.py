@@ -13,6 +13,7 @@ from monotangle.qstate import (
     ket_from_basis_terms,
     reduce_pure_state,
 )
+from monotangle import roof
 from monotangle.roof import (
     _SCAN_PHI,
     _SCAN_THETA,
@@ -32,12 +33,7 @@ from monotangle.tangle import (
     pure_three_tangle,
 )
 from monotangle.wclass import wclass_random, wclass_reduction, wclass_state
-from .conftest import (
-    ckw_three_tangle,
-    members,
-    random_mixed_2q,
-    random_pure_state,
-)
+from .conftest import ckw_three_tangle, members, random_mixed_2q
 
 # mirrors the acceptance configuration for two-qubit roof searches
 CFG_2Q = RoofConfig(seed=7, restarts=4, padding=2, max_sweeps=40, tol=1e-8)
@@ -148,7 +144,7 @@ class TestDecompositionIndependence:
 
 class TestMTangleMixed:
     def test_pure_input_returns_pure_value(self):
-        state = random_pure_state(2, 21)
+        state = haar_random_state(2, 21)
         rho = density_from_pure(state)
         result = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
         assert result.value == pytest.approx(
@@ -163,6 +159,32 @@ class TestMTangleMixed:
         assert result.value == pytest.approx(
             concurrence_2q(rho) ** 2, abs=1e-4
         )
+
+    def test_generic_pair_step_matches_closed_form(self, monkeypatch):
+        # a leaf without a `polynomial` attribute takes the coarse-grid
+        # pair step of the recursive m >= 4 leaves; C5's budget and first
+        # six samples, against the concurrence closed form
+        def plain(member):
+            return pure_functional_2q(member)
+
+        generic_steps = []
+        pair_step = roof._pair_step
+
+        def counted(M, objective, w, i, j):
+            if objective.poly is None:
+                generic_steps.append((i, j))
+            return pair_step(M, objective, w, i, j)
+
+        monkeypatch.setattr(roof, "_pair_step", counted)
+        cfg = RoofConfig(seed=414243, restarts=4, padding=2, max_sweeps=40,
+                         tol=1e-8)
+        for s in range(6):
+            rho = random_mixed_2q(5000 + s)
+            result = m_tangle_mixed(rho, 1, (2,), plain, cfg)
+            assert result.value == pytest.approx(
+                concurrence_2q(rho) ** 2, abs=1e-4
+            ), s
+        assert generic_steps
 
     def test_wclass_three_tangle_roofs_vanish(self):
         from monotangle.tangle import mixed_tangle_term
@@ -180,7 +202,7 @@ class TestMTangleMixed:
         a = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
         b = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
         assert a.value == b.value
-        assert np.array_equal(a.best_mixing, b.best_mixing)
+        assert np.array_equal(a.best_rows, b.best_rows)
 
     def test_value_never_exceeds_canonical_objective(self):
         for seed in range(5):
@@ -286,9 +308,8 @@ class TestPolynomialLeaves:
                 assert grid[flat] == pytest.approx(expected, abs=1e-12)
 
     def test_level3_roof_reproduced_by_its_members(self):
-        # the best mixing, re-applied to the eigen-ensemble and evaluated
-        # member by member with the expanded CKW three-tangle, gives back
-        # the reported value
+        # the best rows decompose rho and, evaluated member by member with
+        # the expanded CKW three-tangle, give back the reported value
         cfg = RoofConfig(seed=3, restarts=2, max_sweeps=20)
         checked = 0
         for seed in range(4):
@@ -296,9 +317,10 @@ class TestPolynomialLeaves:
             for partners in ((2, 3), (2, 4), (3, 4)):
                 rho = reduce_pure_state(state, (1,) + partners)
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
-                mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
+                rows = result.best_rows
+                assert np.max(np.abs(density(rows) - rho.matrix)) <= 1e-12
                 total = sum(p * math.sqrt(ckw_three_tangle(member))
-                            for p, member in members(mixed))
+                            for p, member in members(rows))
                 assert total ** 2 == pytest.approx(result.value, abs=1e-10)
                 assert result.min_pure_tangle_seen >= 0.0
                 checked += 1

@@ -10,12 +10,7 @@ from monotangle.qstate import (
     partial_trace,
     reduce_pure_state,
 )
-from monotangle.roof import (
-    RoofConfig,
-    canonical_ensemble,
-    hjw_mix,
-    m_tangle_mixed,
-)
+from monotangle.roof import RoofConfig, m_tangle_mixed
 from monotangle.tangle import (
     TangleValue,
     concurrence_2q,
@@ -25,12 +20,7 @@ from monotangle.tangle import (
     pure_three_tangle,
     two_tangle,
 )
-from .conftest import (
-    ckw_three_tangle,
-    members,
-    permute_qubits,
-    random_pure_state,
-)
+from .conftest import ckw_three_tangle, members, permute_qubits
 
 CFG = RoofConfig(seed=11, restarts=4, max_sweeps=60)
 
@@ -53,7 +43,7 @@ class TestOneTangle:
     @pytest.mark.parametrize("seed", range(5))
     def test_invariant_under_partner_permutation(self, seed):
         rng = np.random.default_rng(seed)
-        state = random_pure_state(4, 300 + seed)
+        state = haar_random_state(4, 300 + seed)
         perm = [1] + (1 + rng.permutation([1, 2, 3])).tolist()
         permuted = permute_qubits(state, perm)
         assert one_tangle(state, 1).value == pytest.approx(
@@ -128,7 +118,7 @@ class TestTwoTangle:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pure_state_matches_bipartite_tangle(self, seed):
-        state = random_pure_state(2, 400 + seed)
+        state = haar_random_state(2, 400 + seed)
         assert two_tangle(density_from_pure(state)).value == pytest.approx(
             one_tangle(state, 1).value, abs=1e-10
         )
@@ -159,7 +149,7 @@ class TestPureTangleBipartite:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_leaf_functional_agrees(self, seed):
-        state = random_pure_state(2, 500 + seed)
+        state = haar_random_state(2, 500 + seed)
         amps = state.amplitudes
         assert pure_functional_2q(amps) == pytest.approx(
             one_tangle(state, 1).value, abs=1e-12
@@ -187,7 +177,7 @@ class TestNTanglePure:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_term_by_term_oracle(self, seed):
         # three-tangle assembled independently from reductions + concurrence
-        state = random_pure_state(3, 600 + seed)
+        state = haar_random_state(3, 600 + seed)
         rho = density_from_pure(state)
         expected = one_tangle(state, 1).value
         for j in (2, 3):
@@ -206,8 +196,9 @@ class TestNTanglePure:
                 rho = reduce_pure_state(state, (1,) + partners)
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
                                         cfg)
-                mixed = hjw_mix(canonical_ensemble(rho), result.best_mixing)
-                for _, amps in members(mixed):
+                rows = result.best_rows
+                assert np.max(np.abs(rows.T @ rows.conj() - rho.matrix)) <= 1e-12
+                for _, amps in members(rows):
                     exact = ckw_three_tangle(amps)
                     member = StateVector(3, amps)
                     for hub in (1, 2, 3):
