@@ -10,6 +10,12 @@ Primary outputs (state files, report JSON, batch CSV) are byte-identical
 for identical command lines and seeds; wall-clock timings therefore go to
 the human summary on stderr, and the manifest embedded in file outputs
 carries duration_ms as null.
+
+`batch --jobs J` (J > 1) deals its samples into min(rows, 4 J) strided
+blocks, block k holding samples k, k + blocks, ..., and sends each block to
+a pool of min(J, blocks) workers as one task; the rows are put back in
+sample order, so the CSV equals the `--jobs 1` one byte for byte.  One block
+runs in-process, with no pool.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .monogamy import (
     DEFAULT_MAX_SM_QUBITS,
     DEFAULT_TOL_CLOSED,
     DEFAULT_TOL_ROOF,
+    check_tolerance,
     ckw_residual,
     max_m3plus_term,
     sm_residual,
@@ -278,6 +285,7 @@ def cmd_ckw_check(state_file, focus, tol_closed, out):
     """CKW residual of a state file (closed-form two-tangles only)."""
 
     def body():
+        check_tolerance("tol_closed", tol_closed)
         state = load_state(state_file)
         residual = ckw_residual(state, focus)
         config = RoofConfig()
@@ -383,23 +391,33 @@ def _sample_seed(global_seed: int, n: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _batch_row(task: dict) -> list:
-    n = task["n"]
-    sample_seed = task["sample_seed"]
-    config = task["config"]
-    if task["family"] == "wclass":
-        state = wclass_state(wclass_random(n, sample_seed))
-    else:
-        state = haar_random_state(n, sample_seed)
-    t0 = time.perf_counter()
-    report = sm_residual(state, 1, config, max_qubits=task["cap"],
-                         tol_closed=task["tol_closed"],
-                         tol_roof=task["tol_roof"])
-    elapsed_ms = 1e3 * (time.perf_counter() - t0)
-    runtime = int(round(elapsed_ms)) if task["timing"] else 0
-    return [n, task["index"], sample_seed,
-            repr(report.ckw_residual), repr(report.sm_residual),
-            repr(max_m3plus_term(report)), runtime]
+def _batch_block(block: tuple) -> list[list]:
+    """CSV rows of one block of batch samples, in the order of its keys.
+
+    `block` is `(keys, settings)`: `keys` lists the block's `(n, index)`
+    samples, and `settings`, shared by every row and sent once per block,
+    is `(family, global_seed, config, cap, tol_closed, tol_roof, timing)`.
+    Each sample's seed is derived here, so that a pool worker rather than
+    the parent spends the `SeedSequence` work.
+    """
+    keys, (family, global_seed, config, cap, tol_closed, tol_roof,
+           timing) = block
+    rows = []
+    for n, index in keys:
+        sample_seed = _sample_seed(global_seed, n, index)
+        if family == "wclass":
+            state = wclass_state(wclass_random(n, sample_seed))
+        else:
+            state = haar_random_state(n, sample_seed)
+        t0 = time.perf_counter()
+        report = sm_residual(state, 1, config, max_qubits=cap,
+                             tol_closed=tol_closed, tol_roof=tol_roof)
+        elapsed_ms = 1e3 * (time.perf_counter() - t0)
+        runtime = int(round(elapsed_ms)) if timing else 0
+        rows.append([n, index, sample_seed,
+                     repr(report.ckw_residual), repr(report.sm_residual),
+                     repr(max_m3plus_term(report)), runtime])
+    return rows
 
 
 @main.command("batch")
@@ -424,27 +442,28 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
             raise InputError(f"samples must be >= 1, got {samples}")
         if jobs < 1:
             raise InputError(f"jobs must be >= 1, got {jobs}")
+        check_tolerance("tol_closed", tol_closed)
+        check_tolerance("tol_roof", tol_roof)
         ns = _parse_n_range(n_range)
         if ns[0] < 3:
             raise InputError("batch families need n >= 3")
         cap = _qubit_cap(ns[-1])
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
-        tasks = [
-            {
-                "family": family, "n": n, "index": i,
-                "sample_seed": _sample_seed(seed, n, i),
-                "config": config, "cap": cap,
-                "tol_closed": tol_closed, "tol_roof": tol_roof,
-                "timing": timing,
-            }
-            for n in ns for i in range(samples)
-        ]
+        keys = [(n, i) for n in ns for i in range(samples)]
+        # strided blocks: each block mixes every n of the range, so their
+        # costs stay level; one block (no pool) when jobs == 1
+        blocks = min(len(keys), 4 * jobs) if jobs > 1 else 1
+        settings = (family, seed, config, cap, tol_closed, tol_roof, timing)
+        work = [(keys[k::blocks], settings) for k in range(blocks)]
         t0 = time.perf_counter()
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_batch_row, tasks))
+        if blocks > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, blocks)) as pool:
+                results = list(pool.map(_batch_block, work))
         else:
-            rows = [_batch_row(task) for task in tasks]
+            results = [_batch_block(work[0])]
+        rows = [None] * len(keys)
+        for k, block_rows in enumerate(results):
+            rows[k::blocks] = block_rows
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["n", "sample", "seed", "ckw_residual", "sm_residual",

@@ -16,6 +16,7 @@ value whichever residual it enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .qstate import InputError, StateVector
@@ -63,6 +64,16 @@ class MonogamyReport:
         }
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Raise InputError unless a verdict tolerance is finite and >= 0.
+
+    A negative tolerance turns a saturating residual into a violation and
+    a NaN one makes every comparison false, so neither gives a verdict.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def ckw_residual(state: StateVector, focus: int = 1) -> float:
     """One-tangle minus the sum of closed-form pair two-tangles.
 
@@ -85,6 +96,8 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
     report but the residual is still assembled from the best values found.
     The residual equals the recursive n-tangle of the state.
     """
+    check_tolerance("tol_closed", tol_closed)
+    check_tolerance("tol_roof", tol_roof)
     n = state.num_qubits
     if n < 3:
         raise InputError("SM evaluation needs at least 3 qubits")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -181,6 +185,15 @@ class TestCkwCheck:
         assert payload["ckw_residual"] == pytest.approx(1.0, abs=1e-9)
         assert payload["saturated_ckw"] is False
 
+    @pytest.mark.parametrize("tol", ["-0.5", "nan"])
+    def test_bad_tolerance_exit_2(self, runner, tmp_path, w3, tol):
+        state_file = tmp_path / "w3.json"
+        save_state(w3, state_file)
+        result = invoke(runner, ["ckw-check", str(state_file),
+                                 "--tol-closed", tol])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: tol_closed must be finite")
+
 
 class TestSmCheck:
     def test_w4_saturated(self, runner, tmp_path):
@@ -255,6 +268,18 @@ class TestSmCheck:
                                  "4", "--out", str(tmp_path / "y.json")])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("flag, tol", [("--tol-roof", "-1"),
+                                           ("--tol-closed", "nan")])
+    def test_bad_tolerance_exit_2(self, runner, tmp_path, flag, tol):
+        # at the parent, --tol-roof -1 flagged the saturating W state as a
+        # violation (exit 3) and --tol-closed nan made it unsaturated
+        result = invoke(runner, ["sm-check", "--wclass", "--n", "4", "--w",
+                                 "--restarts", "4", flag, tol,
+                                 "--out", str(tmp_path / "sm.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: tol_")
+        assert not (tmp_path / "sm.json").exists()
+
     def test_missing_source_exit_2(self, runner):
         result = invoke(runner, ["sm-check"])
         assert result.exit_code == 2
@@ -303,15 +328,90 @@ class TestBatch:
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[3]) >= -1e-9
 
-    def test_jobs_parallel_matches_serial(self, runner, tmp_path):
-        base = ["batch", "--family", "wclass", "--n", "3", "--samples", "4",
-                "--seed", "9", "--restarts", "4"]
+    @pytest.mark.parametrize("rows, jobs", [
+        pytest.param(["--n", "3", "--samples", "4", "--seed", "9"], "2",
+                     id="4rows-jobs2"),
+        pytest.param(["--n", "3..5", "--samples", "5", "--seed", "2"], "2",
+                     id="15rows-jobs2"),
+        pytest.param(["--n", "3..5", "--samples", "5", "--seed", "2"], "3",
+                     id="15rows-jobs3"),
+        pytest.param(["--n", "3", "--samples", "1", "--seed", "2"], "2",
+                     id="1row-jobs2"),
+    ])
+    def test_jobs_parallel_matches_serial(self, runner, tmp_path, rows, jobs):
+        # 15 rows split evenly into neither 8 nor 12 blocks; 1 row is 1 block
+        base = ["batch", "--family", "wclass", "--restarts", "4"] + rows
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         assert invoke(runner, base + ["--out", str(serial)]).exit_code == 0
-        assert invoke(runner, base + ["--jobs", "2",
+        assert invoke(runner, base + ["--jobs", jobs,
                                       "--out", str(parallel)]).exit_code == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_module_entry_pool_matches_serial(self, runner, tmp_path):
+        # the benchmark's command: __main__ entry, a fresh interpreter's pool
+        args = ["batch", "--family", "haar", "--n", "3", "--samples", "2000",
+                "--seed", "13"]
+        # the child imports the package this test imported, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "monotangle.cli", *args, "--jobs", "2"],
+            capture_output=True, timeout=120, check=True, env=env)
+        serial = tmp_path / "serial.csv"
+        assert invoke(runner, args + ["--out", str(serial)]).exit_code == 0
+        assert done.stdout == serial.read_bytes()
+        assert done.stdout.count(b"\n") == 2001
+
+    def test_pool_only_for_blocks(self, runner, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        base = ["batch", "--family", "haar", "--n", "3", "--seed", "4"]
+        result = invoke(runner, base + ["--samples", "1", "--jobs", "2"])
+        assert result.exit_code == 0
+        assert made == []
+        result = invoke(runner, base + ["--samples", "3", "--jobs", "8"])
+        assert result.exit_code == 0
+        assert made == [3]
+        assert len(result.stdout.splitlines()) == 1 + 3
+
+    @pytest.mark.parametrize("flag, tol", [("--tol-roof", "-1"),
+                                           ("--tol-closed", "nan")])
+    def test_bad_tolerance_exit_2(self, runner, monkeypatch, flag, tol):
+        # rejected before any block is built or sent to a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("pool started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cli, "_batch_block", no_pool)
+        result = invoke(runner, ["batch", "--family", "haar", "--n", "3",
+                                 "--samples", "3", "--jobs", "2", flag, tol])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: tol_")
+
+    def test_worker_input_error_keeps_its_label(self, runner, monkeypatch):
+        # the InputError raised in a pool worker is re-raised as one
+        monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", "20")
+        result = invoke(runner, ["batch", "--family", "wclass", "--n", "13",
+                                 "--samples", "2", "--jobs", "2"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: num_qubits must be in [1, 12], "
+                                 "got 13\n")
 
     def test_unwritable_path_exit_2(self, runner):
         result = invoke(runner, ["batch", "--family", "wclass", "--n", "3",

@@ -155,6 +155,15 @@ class TestSmResidual:
         with pytest.raises(InputError):
             sm_residual(bell_state, 1, CFG)
 
+    @pytest.mark.parametrize("tols", [
+        {"tol_roof": -1.0}, {"tol_closed": -0.5},
+        {"tol_closed": float("nan")}, {"tol_roof": float("inf")},
+    ])
+    def test_bad_tolerance_rejected(self, w3, tols):
+        # a negative or NaN tolerance would flip or void the verdicts
+        with pytest.raises(InputError, match="must be finite and >= 0"):
+            sm_residual(w3, 1, CFG, **tols)
+
     def test_qubit_cap_enforced(self):
         state = wclass_state(wclass_random(8, 5))
         with pytest.raises(InputError):
