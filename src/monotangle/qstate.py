@@ -68,6 +68,9 @@ class StateVector:
             raise InvalidStateError(
                 f"expected {1 << self.num_qubits} amplitudes, got shape {amps.shape}"
             )
+        # every comparison with NaN is false, so the norm check would pass it
+        if not np.isfinite(amps).all():
+            raise InvalidStateError("amplitudes must be finite (no NaN or inf)")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise InvalidStateError(
@@ -136,6 +139,9 @@ class DensityOperator:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise InputError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        # NaN slips through the tolerance checks below, inf breaks eigvalsh
+        if not np.isfinite(mat).all():
+            raise InvalidStateError("matrix entries must be finite (no NaN or inf)")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise InputError("matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
@@ -157,6 +163,8 @@ class DensityOperator:
 def _normalized_state(num_qubits: int, amps: np.ndarray) -> StateVector:
     """Accept near-unit inputs unchanged; rescale (and flag) anything else."""
     norm_sq = float(np.vdot(amps, amps).real)
+    if not np.isfinite(norm_sq):
+        raise InvalidStateError(f"state norm is not finite: <psi|psi> = {norm_sq!r}")
     if norm_sq == 0.0:
         raise InvalidStateError("state has zero norm")
     if abs(norm_sq - 1.0) <= NORM_TOL:

@@ -20,10 +20,21 @@ d + 1 coefficients, recovered by one FFT, which makes a dense angle scan
 and the refinement profile cheap.  Other leaves (the recursive m >= 4
 tangles) are evaluated member by member on a coarse grid.
 
-The searched minimum is an upper bound on the true roof; it is exact for
-the workloads the package certifies (two-qubit tangles against the
-concurrence closed form, and reductions whose members all have zero
-tangle, where the objective is identically zero).
+A rank <= 2 state under the degree-4 leaf (every m = 3 term whose
+eigen-rows are not already a certified zero) takes another route, with no
+search: its pure states form the Bloch sphere of its range, and its roof is
+the lower convex envelope of sqrt(tau) over that sphere at rho's Bloch
+point (Osterloh, Siewert & Uhlmann, PRA 77, 032310, 2008).  A small linear
+program over a cached grid, the zeros of the binary quartic and local
+patches solves it (:func:`_rank2_lp`), and its optimal basis is the
+returned decomposition.
+
+Either value is attained by the returned rows, so it is an upper bound on
+the true roof; the search is exact for the workloads the package certifies
+(two-qubit tangles against the concurrence closed form, and reductions
+whose members all have zero tangle, where the objective is identically
+zero), and the linear program comes within ~1e-7 of the exact rank-2
+level-3 roofs.
 """
 
 from __future__ import annotations
@@ -84,8 +95,8 @@ class RoofConfig:
             raise InputError("padding must be >= 0")
         if self.max_sweeps < 0:
             raise InputError("max_sweeps must be >= 0")
-        if self.tol <= 0:
-            raise InputError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InputError(f"tol must be finite and positive, got {self.tol!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,6 +119,10 @@ class RoofResult:
         the search, before clamping; significantly negative values are
         evidence worth surfacing, not errors.  Polynomial leaves (levels
         2 and 3) are moduli, so there it is never negative.
+    method: the route that produced the value: "roof" for the HJW search
+        (its certified-zero exit included), "rank2_lp" for the linear
+        program of a rank <= 2 level-3 roof, which spends no restarts
+        (restarts_used = 0) and is converged by construction.
     """
 
     value: float
@@ -115,6 +130,7 @@ class RoofResult:
     restarts_used: int
     converged: bool
     min_pure_tangle_seen: float
+    method: str
 
 
 def canonical_ensemble(rho: DensityOperator) -> np.ndarray:
@@ -370,35 +386,213 @@ def _pair_step(M, objective, w, i, j) -> None:
     w[j] = objective.contribution(M[j])
 
 
-def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
-                   config: RoofConfig) -> RoofResult:
-    """Convex-roof m-tangle of `rho` with hub `focus`.
+# Rank-2 level-3 roofs: with rho = p0 |u0><u0| + p1 |u1><u1|, the pure states
+# of its range are psi(n) = alpha u0 + beta u1, points n of a Bloch sphere on
+# which rho sits at r = (0, 0, p0 - p1).  The roof of sqrt(tau) is its lower
+# convex envelope at r (Osterloh, Siewert & Uhlmann, PRA 77, 032310, 2008),
+# here a linear program over finitely many points.
+_LP_GRID = 500                  # Fibonacci points on the Bloch sphere
+_LP_PATCHES = (0.05, 0.0125, 0.003)  # Bloch-angle spacings of the patches
+_LP_PATCH_OFFSETS = np.array([a + 1j * b for a in range(-2, 3)
+                              for b in range(-2, 3) if a or b])
+# reduced costs above -_LP_TOL are optimal: the weights sum to 1, so the
+# objective is then at most _LP_TOL above its optimum over the columns
+_LP_TOL = 1e-10
+_LP_PIVOT_TOL = 1e-12           # smallest direction entry a ratio test uses
+_LP_STALL = 1e-14               # a step this short counts as degenerate
+_LP_MAX_PIVOTS = 1000
+_LP_NEWTON_STEPS = 3
+_LP_ZERO_FORM = 1e-13           # |form| at the members next to the zeros
 
-    Parameters
-    ----------
-    rho : DensityOperator
-        State on exactly {focus} union partners.
-    pure_functional : callable
-        Maps a normalized amplitude vector (length 2^m) to the raw pure
-        m-tangle of that member; may return small negatives, which are
-        clamped under the square root and tracked in the result.
-    config : RoofConfig
-        Search budget; identical configs give bit-identical results.
+
+def _bloch_columns(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Constraint columns (1, n_x, n_y, n_z) of the states alpha u0 + beta u1."""
+    cross = alpha.conj() * beta
+    return np.stack([np.ones(len(alpha)), 2.0 * cross.real, 2.0 * cross.imag,
+                     np.abs(alpha) ** 2 - np.abs(beta) ** 2])
+
+
+def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """alpha^(4-k) beta^k for k = 0 ... 4, one row per point."""
+    k = np.arange(5)
+    return alpha[:, None] ** (4 - k) * beta[:, None] ** k
+
+
+@lru_cache(maxsize=1)
+def _lp_grid():
+    """Start columns: +z, -z, +x, +y, then a Fibonacci grid on the sphere.
+
+    The four axes come first: with w = (p0, p1, 0, 0) they are a feasible,
+    nonsingular start basis.  Returns (alpha, beta, columns, monomials),
+    read-only because the cache hands the same arrays to every term.
+    """
+    half = math.sqrt(0.5)
+    i = np.arange(_LP_GRID) + 0.5
+    z = 1.0 - 2.0 * i / _LP_GRID
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    alpha = np.concatenate([[1.0, 0.0, half, half], np.sqrt((1.0 + z) / 2.0)])
+    beta = np.concatenate([[0.0, 1.0, half, 1j * half],
+                           np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)])
+    alpha = alpha.astype(np.complex128)
+    tables = (alpha, beta, _bloch_columns(alpha, beta), _monomials(alpha, beta))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _quartic_zeros(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit (alpha, beta) next to each zero of sum_k Q_k alpha^(4-k) beta^k.
+
+    These are the (near) zero-tangle members of the range.  The roots
+    z = beta / alpha of sum_k Q_k z^k come from np.roots, which loses
+    digits next to a (nearly) vanishing Q_4 -- a zero at or near the -z
+    axis, such as W in a GHZ/W mixture -- so each root is polished by
+    Newton steps, in z where |z| <= 1 and in 1/z, on the form read from
+    the other end, elsewhere.  sqrt(tau) has a branch point at a zero: a
+    float point there has |Det| at the rounding level (~1e-17), where two
+    correct formulas for tau disagree in sqrt(tau) by ~1e-8.  So each
+    member is moved off its zero by one further step, to |form| =
+    _LP_ZERO_FORM, where sqrt(tau) ~ 6e-7 is reproducible to ~1e-11.
+    """
+    alphas, betas = [], []
+    for z in np.roots(coeffs[::-1]).tolist():
+        flip = abs(z) > 1.0
+        form = coeffs.tolist() if flip else coeffs[::-1].tolist()
+        if flip:
+            z = 1.0 / z
+        for _ in range(_LP_NEWTON_STEPS):
+            value, slope = form[0], 0j
+            for a in form[1:]:
+                slope = slope * z + value
+                value = value * z + a
+            if slope == 0:
+                break
+            z -= (value - _LP_ZERO_FORM) / slope
+        scale = 1.0 / math.sqrt(1.0 + abs(z) ** 2)
+        alphas.append(z * scale if flip else scale)
+        betas.append(scale if flip else z * scale)
+    return (np.array(alphas, dtype=np.complex128),
+            np.array(betas, dtype=np.complex128))
+
+
+def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
+             basis: list[int]) -> np.ndarray:
+    """Revised simplex: min c.w subject to A w = b, w >= 0.
+
+    `basis` indexes a feasible nonsingular start basis and is updated in
+    place to the optimal one; returns the basic weights.  Pricing takes
+    the most negative reduced cost; after a degenerate pivot it switches
+    to Bland's smallest-index rule until a pivot makes progress, which
+    rules out cycling.  Raises RuntimeError past _LP_MAX_PIVOTS: an LP
+    that does not finish is an internal failure, never a search fallback.
+    """
+    bland = False
+    for _ in range(_LP_MAX_PIVOTS):
+        inverse = np.linalg.inv(A[:, basis])
+        x = inverse @ b
+        reduced = c - (c[basis] @ inverse) @ A
+        if bland:
+            candidates = np.flatnonzero(reduced < -_LP_TOL)
+            if not len(candidates):
+                break
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -_LP_TOL:
+                break
+        direction = inverse @ A[:, enter]
+        # the first row of A is all ones, so the direction sums to 1 and
+        # some entry is usable: the LP is bounded
+        usable = direction > _LP_PIVOT_TOL
+        ratios = np.full(len(x), np.inf)
+        ratios[usable] = np.maximum(x[usable], 0.0) / direction[usable]
+        step = ratios.min()
+        ties = np.flatnonzero(ratios == step)
+        leave = int(min(ties, key=lambda row: basis[row]) if bland else ties[0])
+        bland = step <= _LP_STALL
+        basis[leave] = enter
+    else:
+        raise RuntimeError(f"rank-2 roof LP exceeded {_LP_MAX_PIVOTS} pivots")
+    # the explicit inverse prices; a backward-stable solve gives the weights,
+    # so that the decomposition reconstructs b to rounding
+    return np.linalg.solve(A[:, basis], b)
+
+
+def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
+    """Roof of a rank <= 2 state under the degree-4 leaf, as a linear program.
+
+    Minimizes sum_k w_k g(n_k), with g = sqrt(tau) on psi(n_k), subject to
+    sum_k w_k (1, n_k) = (p0 + p1, 0, 0, p0 - p1) and w >= 0, over the
+    axes, a Fibonacci grid, the zeros of the binary quartic (the
+    zero-tangle members of the range) and local patches around the basic
+    points of each solve.  g = 2 |sum_k Q_k alpha^(4-k) beta^k|^(1/2),
+    where Q is the binary form of Det on (u0, u1).  The value is that of
+    the rows sqrt(w_k) psi(n_k) of the optimal basis, so it is an upper
+    bound on the roof, attained by the returned decomposition.
+    """
+    if len(rows) == 1:
+        value = objective.contribution(rows[0])
+        return RoofResult(value=float(value * value), best_rows=rows,
+                          restarts_used=0, converged=True,
+                          min_pure_tangle_seen=float(objective.min_tau),
+                          method="rank2_lp")
+    probs = np.einsum("ij,ij->i", rows, rows.conj()).real
+    units = rows / np.sqrt(probs)[:, None]
+    coeffs = _binary_form(4, objective.poly[1], units[0], units[1])
+
+    grid_alpha, grid_beta, grid_columns, grid_monos = _lp_grid()
+    zero_alpha, zero_beta = _quartic_zeros(coeffs)
+    alpha = np.concatenate([grid_alpha, zero_alpha])
+    beta = np.concatenate([grid_beta, zero_beta])
+    A = np.hstack([grid_columns, _bloch_columns(zero_alpha, zero_beta)])
+    c = 2.0 * np.sqrt(np.abs(np.concatenate(
+        [grid_monos @ coeffs, _monomials(zero_alpha, zero_beta) @ coeffs])))
+    b = np.array([probs.sum(), 0.0, 0.0, probs[0] - probs[1]])
+    basis = [0, 1, 2, 3]
+    x = _simplex(A, c, b, basis)
+    for spacing in _LP_PATCHES:
+        # 5 x 5 patches in the tangent plane of each weighted basic point:
+        # (psi + t psi_perp) / |..| with psi_perp = (-beta*, alpha*) lies a
+        # Bloch angle of about 2 |t| from psi
+        centre = np.array([k for k, weight in zip(basis, x) if weight > 0.0])
+        t = 0.5 * spacing * _LP_PATCH_OFFSETS
+        norm = 1.0 / np.sqrt(1.0 + np.abs(t) ** 2)
+        new_alpha = ((alpha[centre, None] - t * beta[centre, None].conj())
+                     * norm).ravel()
+        new_beta = ((beta[centre, None] + t * alpha[centre, None].conj())
+                    * norm).ravel()
+        alpha = np.concatenate([alpha, new_alpha])
+        beta = np.concatenate([beta, new_beta])
+        A = np.hstack([A, _bloch_columns(new_alpha, new_beta)])
+        c = np.concatenate([c, 2.0 * np.sqrt(np.abs(
+            _monomials(new_alpha, new_beta) @ coeffs))])
+        x = _simplex(A, c, b, basis)
+
+    keep = [k for k in range(len(basis)) if x[k] > 0.0]
+    picked = [basis[k] for k in keep]
+    best_rows = (np.sqrt(x[keep])[:, None]
+                 * (alpha[picked, None] * units[0] + beta[picked, None] * units[1]))
+    value = sum(objective.contribution(row) for row in best_rows)
+    return RoofResult(
+        value=float(value * value),
+        best_rows=best_rows,
+        restarts_used=0,
+        converged=True,
+        min_pure_tangle_seen=float(min(objective.min_tau, c.min() ** 2)),
+        method="rank2_lp",
+    )
+
+
+def _hjw_search(rows: np.ndarray, objective: _Objective,
+                config: RoofConfig) -> RoofResult:
+    """Multi-start HJW search from the eigen-rows under `config`.
 
     The search mixes the eigen-rows, zero-padded to rank + padding rows;
-    restart 0 starts from the eigen-rows themselves.  A budget
-    exhausted without meeting the sweep tolerance yields converged=False
-    with the best value found, never an exception.
+    restart 0 starts from the eigen-rows themselves.  A budget exhausted
+    without meeting the sweep tolerance yields converged=False with the
+    best value found, never an exception.
     """
-    partners = as_subset(partners)
-    expected = tuple(sorted((focus,) + partners.labels))
-    if tuple(sorted(rho.qubit_labels)) != expected:
-        raise InputError(
-            f"rho acts on {rho.qubit_labels}, expected {expected}"
-        )
-    rows = canonical_ensemble(rho)
     r = len(rows) + config.padding
-    objective = _Objective(pure_functional)
     # generic functionals pay real money per evaluation; lean on restarts
     # there and keep the kick escape for polynomial leaves
     kicks = _KICKS if objective.poly is not None else 1
@@ -442,4 +636,42 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
         restarts_used=restarts_used,
         converged=converged,
         min_pure_tangle_seen=float(min_seen),
+        method="roof",
     )
+
+
+def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
+                   config: RoofConfig) -> RoofResult:
+    """Convex-roof m-tangle of `rho` with hub `focus`.
+
+    Parameters
+    ----------
+    rho : DensityOperator
+        State on exactly {focus} union partners.
+    pure_functional : callable
+        Maps a normalized amplitude vector (length 2^m) to the raw pure
+        m-tangle of that member; may return small negatives, which are
+        clamped under the square root and tracked in the result.
+    config : RoofConfig
+        Search budget; identical configs give bit-identical results.
+
+    Under the degree-4 leaf (every m = 3 term), a rho of rank <= 2 whose
+    eigen-rows are not already a certified zero is solved by the linear
+    program of :func:`_rank2_lp` (method "rank2_lp"); `config` does not
+    apply there.  Every other roof is the HJW search of
+    :func:`_hjw_search` (method "roof"), including the certified-zero exit
+    on the eigen-rows.
+    """
+    partners = as_subset(partners)
+    expected = tuple(sorted((focus,) + partners.labels))
+    if tuple(sorted(rho.qubit_labels)) != expected:
+        raise InputError(
+            f"rho acts on {rho.qubit_labels}, expected {expected}"
+        )
+    rows = canonical_ensemble(rho)
+    objective = _Objective(pure_functional)
+    if objective.poly is not None and objective.poly[0] == 4 and len(rows) <= 2:
+        start = sum(objective.contribution(row) for row in rows)
+        if start * start > EARLY_STOP_VALUE:
+            return _rank2_lp(rows, objective)
+    return _hjw_search(rows, objective, config)

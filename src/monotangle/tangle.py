@@ -204,7 +204,8 @@ class TermRecord:
 
     @property
     def method(self) -> str:
-        return "closed_form" if self.roof is None else "roof"
+        """"closed_form", or the roof's route: "roof" or "rank2_lp"."""
+        return "closed_form" if self.roof is None else self.roof.method
 
     @property
     def converged(self) -> bool:
@@ -237,12 +238,16 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
 
     Returns the term's record.  For m = 2 the concurrence closed form,
     taken from the pure-state factor of the reduction, is exact and the
-    record's roof is None.  For m >= 3 a roof search evaluates
-    each decomposition member with a pure m-tangle leaf: the
-    hyperdeterminant :func:`pure_three_tangle` for m = 3, and for m >= 4
-    the leaf that recurses through :func:`_hierarchy`, where
-    non-convergence of any nested roof marks the returned result as not
-    converged.
+    record's roof is None.  For m >= 3 the roof entry point
+    :func:`monotangle.roof.m_tangle_mixed` evaluates each decomposition
+    member with a pure m-tangle leaf: the hyperdeterminant
+    :func:`pure_three_tangle` for m = 3, and for m >= 4 the leaf that
+    recurses through :func:`_hierarchy`, where non-convergence of any
+    nested roof marks the returned result as not converged.  An m = 3
+    reduction of rank <= 2 -- every level-3 term at n = 4, and every
+    level-3 term inside an m = 4 leaf -- is solved there as a linear
+    program (method "rank2_lp") unless its eigen-rows are a certified
+    zero; the others run the HJW search under `config` (method "roof").
     """
     kept = tuple(sorted((fpos,) + partners))
     positions = tuple(p - 1 for p in kept)

@@ -13,7 +13,7 @@ from referencing import Registry, Resource
 
 import monotangle.cli as cli
 from monotangle.monogamy import MonogamyReport
-from monotangle.qstate import load_state, save_state
+from monotangle.qstate import haar_random_state, load_state, save_state
 from monotangle.wclass import w_state_params, wclass_state
 
 
@@ -172,6 +172,23 @@ class TestTangle:
         assert result.exit_code == 2
 
 
+    def test_rank2_level3_term_names_its_method(self, runner, tmp_path):
+        # a level-3 reduction of a four-qubit state has rank <= 2
+        state_file = tmp_path / "haar4.json"
+        save_state(haar_random_state(4, 7), state_file)
+        out = tmp_path / "term.json"
+        result = invoke(runner, ["tangle", str(state_file), "--partners", "2,4",
+                                 "--out", str(out)])
+        assert result.exit_code == 0
+        payload = json.loads(out.read_text())
+        validate(payload, "tangle_report.schema.json")
+        assert payload["term"]["method"] == "rank2_lp"
+        assert payload["term"]["restarts_used"] == 0
+        assert payload["term"]["converged"] is True
+        assert payload["term"]["value"] == pytest.approx(1.0070980784e-2,
+                                                         abs=1e-6)
+
+
 class TestCkwCheck:
     def test_ghz3(self, runner, tmp_path, ghz3):
         state_file = tmp_path / "ghz3.json"
@@ -284,6 +301,18 @@ class TestSmCheck:
         result = invoke(runner, ["sm-check"])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_state_file_exit_2(self, runner, tmp_path, token):
+        # was "internal error: LinAlgError: SVD did not converge"
+        amps = [[0.5, 0.0]] * 4 + [[0.0, 0.0]] * 4
+        text = json.dumps({"num_qubits": 3, "amplitudes": amps})
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace("0.5", token, 1))
+        result = invoke(runner, ["sm-check", str(bad)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "finite" in result.stderr
 
     def test_internal_failure_exit_2_labelled(self, runner, tmp_path,
                                               monkeypatch):
@@ -435,3 +464,15 @@ class TestBatch:
         result = invoke(runner, ["batch", "--family", "wclass", "--n", "x..y",
                                  "--samples", "1"])
         assert result.exit_code == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # importing scipy.optimize costs more than the whole CLI start-up, so
+    # no import on the CLI's path may pull scipy in
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, monotangle.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True, env=env)
+    assert done.stdout.strip() == "False"

@@ -81,6 +81,14 @@ class TestStateVector:
         with pytest.raises(InputError):
             StateVector(13, np.zeros(2 ** 13))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # every comparison with NaN is false, so the norm check alone passes it
+        amps = np.array([1.0, 0.0], dtype=complex)
+        amps[1] = bad
+        with pytest.raises(InvalidStateError, match="finite"):
+            StateVector(1, amps)
+
 
 class TestDensityFromPure:
     def test_ground_state_projector(self):
@@ -124,6 +132,16 @@ class TestDensityOperator:
         mat = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(InputError):
             DensityOperator((1,), mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passed the Hermiticity and trace checks and broke eigvalsh
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityOperator((1, 2), np.full((4, 4), bad))
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 1] = bad
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityOperator((1, 2), mat)
 
 
 class TestPartialTrace:
@@ -274,6 +292,15 @@ class TestSerialization:
             state_from_dict({"num_qubits": 2, "amplitudes": [[1, 0]]})
         with pytest.raises(InputError):
             state_from_dict({"amplitudes": []})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_file_rejected(self, tmp_path, token):
+        # Python's json reads these tokens as floats
+        path = tmp_path / "bad.json"
+        path.write_text('{"num_qubits": 1, "amplitudes": [[%s, 0], [1, 0]]}'
+                        % token)
+        with pytest.raises(InvalidStateError, match="finite"):
+            load_state(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"

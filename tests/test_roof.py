@@ -19,16 +19,19 @@ from monotangle.roof import (
     _SCAN_THETA,
     RoofConfig,
     _binary_form,
+    _hjw_search,
     _Objective,
     _pair_profile,
     _random_unitary,
     _scan_tables,
+    _simplex,
     canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
 )
 from monotangle.tangle import (
     concurrence_2q,
+    mixed_tangle_term,
     pure_functional_2q,
     pure_three_tangle,
 )
@@ -50,6 +53,17 @@ def ensemble_objective(rows) -> float:
 def density(rows) -> np.ndarray:
     """sum_h p_h |psi_h><psi_h| of a decomposition given by its rows."""
     return rows.T @ rows.conj()
+
+
+def assert_members_reproduce(rho, result):
+    """best_rows decompose rho, and their members, evaluated with the
+    expanded CKW three-tangle, give back the reported value."""
+    rows = result.best_rows
+    assert np.max(np.abs(density(rows) - rho.matrix)) <= 1e-12
+    total = sum(p * math.sqrt(ckw_three_tangle(member))
+                for p, member in members(rows))
+    assert total ** 2 == pytest.approx(result.value, abs=1e-10)
+    assert result.min_pure_tangle_seen >= 0.0
 
 
 class TestCanonicalEnsemble:
@@ -317,14 +331,152 @@ class TestPolynomialLeaves:
             for partners in ((2, 3), (2, 4), (3, 4)):
                 rho = reduce_pure_state(state, (1,) + partners)
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
-                rows = result.best_rows
-                assert np.max(np.abs(density(rows) - rho.matrix)) <= 1e-12
-                total = sum(p * math.sqrt(ckw_three_tangle(member))
-                            for p, member in members(rows))
-                assert total ** 2 == pytest.approx(result.value, abs=1e-10)
-                assert result.min_pure_tangle_seen >= 0.0
+                assert_members_reproduce(rho, result)
                 checked += 1
         assert checked >= 10
+
+
+def count_pair_steps(monkeypatch) -> list:
+    """Replace roof._pair_step by a counting wrapper; returns its log."""
+    steps = []
+    pair_step = roof._pair_step
+
+    def counted(*args):
+        steps.append(args[3:5])
+        return pair_step(*args)
+
+    monkeypatch.setattr(roof, "_pair_step", counted)
+    return steps
+
+
+def ghz_w_mixture(p: float) -> DensityOperator:
+    """p |GHZ><GHZ| + (1 - p) |W><W| on three qubits."""
+    ghz = np.zeros(8, dtype=complex)
+    ghz[[0, 7]] = 2 ** -0.5
+    w = np.zeros(8, dtype=complex)
+    w[[1, 2, 4]] = 3 ** -0.5
+    return DensityOperator((1, 2, 3), p * np.outer(ghz, ghz.conj())
+                           + (1 - p) * np.outer(w, w.conj()))
+
+
+# the perfbench haar_sm budget
+HAAR_CONFIG = RoofConfig(restarts=2, max_sweeps=1)
+
+
+class TestRank2LinearProgram:
+    def test_seed7_against_exact_values(self):
+        # exact rank-2 roofs of haar_random_state(4, 7), hub 1, from
+        # two-sided bounds of a column-generated LP (ROADMAP item 3)
+        exact = {(2, 3): 1.6e-16, (2, 4): 1.0070980784e-2,
+                 (3, 4): 2.7989439558e-4}
+        state = haar_random_state(4, 7)
+        for partners, value in exact.items():
+            term = mixed_tangle_term(state, 1, partners, RoofConfig())
+            assert term.method == "rank2_lp"
+            assert term.value - value <= 1e-6, partners
+            assert term.value >= value - 1e-12, partners
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.6])
+    def test_ghz_w_mixture_vanishes_below_p0(self, p):
+        # the roof is 0 up to p0 = 4 2^(1/3) / (3 + 4 2^(1/3)) ~ 0.627
+        # (Lohmayer, Osterloh, Siewert & Uhlmann, PRL 97, 260502, 2006)
+        rho = ghz_w_mixture(p)
+        result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
+        assert result.method == "rank2_lp"
+        assert result.value <= 1e-8
+        assert_members_reproduce(rho, result)
+
+    def test_never_above_the_search(self, monkeypatch):
+        # on 20 Haar n = 4 states the LP is no worse than the HJW search at
+        # the benchmark budget, and it runs no pair step
+        steps = count_pair_steps(monkeypatch)
+        for seed in range(20):
+            state = haar_random_state(4, 4000 + seed)
+            for partners in ((2, 3), (2, 4), (3, 4)):
+                rho = reduce_pure_state(state, (1,) + partners)
+                result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
+                                        HAAR_CONFIG)
+                assert not steps
+                search = _hjw_search(canonical_ensemble(rho),
+                                     _Objective(pure_three_tangle), HAAR_CONFIG)
+                assert steps
+                steps.clear()
+                assert result.value <= search.value + 1e-12, (seed, partners)
+                assert_members_reproduce(rho, result)
+                assert result.method == "rank2_lp"
+                assert result.converged
+                assert type(result.restarts_used) is int
+                assert result.restarts_used == 0
+
+    def test_config_does_not_apply(self):
+        rho = reduce_pure_state(haar_random_state(4, 11), (1, 2, 4))
+        a = m_tangle_mixed(rho, 1, (2, 4), pure_three_tangle, RoofConfig())
+        b = m_tangle_mixed(rho, 1, (2, 4), pure_three_tangle, HAAR_CONFIG)
+        assert a.value == b.value
+        assert np.array_equal(a.best_rows, b.best_rows)
+
+    def test_rank_one_is_the_pure_leaf(self):
+        state = haar_random_state(3, 5)
+        result = m_tangle_mixed(density_from_pure(state), 1, (2, 3),
+                                pure_three_tangle, RoofConfig())
+        assert result.method == "rank2_lp"
+        assert result.value == pytest.approx(
+            pure_three_tangle(state.amplitudes), abs=1e-12)
+        assert len(result.best_rows) == 1
+
+    def test_certified_zero_stays_on_the_search(self, w3):
+        # W-class reductions: the eigen-rows are a certified zero, which
+        # keeps criterion 1's reports unchanged
+        params = wclass_random(4, 77)
+        rho = reduce_pure_state(wclass_state(params), (1, 2, 3))
+        result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
+        assert result.method == "roof"
+        assert result.restarts_used == 1
+        assert result.value <= roof.EARLY_STOP_VALUE
+
+    def test_two_qubit_roofs_stay_on_the_search(self):
+        rho = random_mixed_2q(1)
+        assert len(canonical_ensemble(rho)) == 2
+        result = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
+        assert result.method == "roof"
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        # an unfinished LP is an internal failure, never a silent fallback
+        monkeypatch.setattr(roof, "_LP_MAX_PIVOTS", 1)
+        rho = reduce_pure_state(haar_random_state(4, 7), (1, 2, 4))
+        with pytest.raises(RuntimeError, match="pivots"):
+            m_tangle_mixed(rho, 1, (2, 4), pure_three_tangle, RoofConfig())
+
+    def test_simplex_survives_beales_cycling_example(self):
+        # most-negative pricing with first-row ties cycles on this LP
+        # (Beale 1955); the optimum is -1/20 at w4 = 1/25, w6 = 1
+        A = np.array([[1, 0, 0, 0.25, -60, -1 / 25, 9],
+                      [0, 1, 0, 0.5, -90, -1 / 50, 3],
+                      [0, 0, 1, 0, 0, 1, 0]])
+        c = np.array([0, 0, 0, -0.75, 150, -1 / 50, 6])
+        b = np.array([0.0, 0.0, 1.0])
+        basis = [0, 1, 2]
+        x = _simplex(A, c, b, basis)
+        assert c[basis] @ x == pytest.approx(-0.05, abs=1e-12)
+        assert np.all(x >= -1e-12)
+
+
+class TestLevel3Search:
+    def test_rank4_roof_reproduced_by_its_members(self, monkeypatch):
+        # rank >= 3 level-3 reductions (n = 5, hub 1) still run the d = 4
+        # HJW search; its best rows decompose rho and their members give
+        # back the reported value
+        steps = count_pair_steps(monkeypatch)
+        cfg = RoofConfig(seed=3, restarts=2, max_sweeps=20)
+        for seed in range(2):
+            state = haar_random_state(5, 900 + seed)
+            for partners in ((2, 3), (4, 5)):
+                rho = reduce_pure_state(state, (1,) + partners)
+                assert len(canonical_ensemble(rho)) >= 3
+                result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
+                assert result.method == "roof"
+                assert_members_reproduce(rho, result)
+        assert steps
 
 
 class TestRoofConfig:
@@ -340,4 +492,7 @@ class TestRoofConfig:
             RoofConfig(padding=-1)
         with pytest.raises(InputError):
             RoofConfig(tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(InputError, match="finite"):
+                RoofConfig(tol=tol)
 
