@@ -141,9 +141,9 @@ def canonical_ensemble(rho: DensityOperator) -> np.ndarray:
     rows R satisfy rho = R^T R*.
     """
     evals, evecs = np.linalg.eigh(rho.matrix)
-    return np.array([math.sqrt(evals[idx]) * evecs[:, idx]
-                     for idx in range(len(evals) - 1, -1, -1)
-                     if evals[idx] > PROB_FLOOR])
+    evals = evals[::-1]
+    keep = evals > PROB_FLOOR
+    return np.sqrt(evals[keep])[:, None] * evecs[:, ::-1][:, keep].T
 
 
 def hjw_mix(rows: np.ndarray, mixing: np.ndarray) -> np.ndarray:
@@ -238,8 +238,15 @@ def _binary_form(d: int, poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for c = cos(t), s = sin(t), e = e^{i f}: row j reads the same
     coefficients in reverse order.
     """
-    roots = np.exp(2j * math.pi * np.arange(d + 1) / (d + 1))
-    return np.fft.fft(poly(x[None, :] + roots[:, None] * y[None, :])) / (d + 1)
+    return np.fft.fft(poly(x[None, :] + _unity_roots(d) * y[None, :])) / (d + 1)
+
+
+@lru_cache(maxsize=None)
+def _unity_roots(d: int) -> np.ndarray:
+    """The d + 1 roots of unity w^l as a read-only column."""
+    roots = np.exp(2j * math.pi * np.arange(d + 1) / (d + 1))[:, None]
+    roots.flags.writeable = False
+    return roots
 
 
 def _pair_profile(d: int, coeffs: np.ndarray):
@@ -395,6 +402,15 @@ _LP_GRID = 500                  # Fibonacci points on the Bloch sphere
 _LP_PATCHES = (0.05, 0.0125, 0.003)  # Bloch-angle spacings of the patches
 _LP_PATCH_OFFSETS = np.array([a + 1j * b for a in range(-2, 3)
                               for b in range(-2, 3) if a or b])
+# per spacing, the tangent offsets t of its patch points and their
+# normalizers 1 / |(1, t)|
+_LP_PATCH_STEPS = tuple(
+    (t, 1.0 / np.sqrt(1.0 + np.abs(t) ** 2))
+    for t in (0.5 * spacing * _LP_PATCH_OFFSETS for spacing in _LP_PATCHES))
+_LP_START = _LP_GRID + 4        # axes and grid
+# column table width: start columns, the quartic's <= 4 zeros, and per
+# round a patch around each of <= 4 basic points
+_LP_COLUMNS = _LP_START + 4 + len(_LP_PATCHES) * 4 * len(_LP_PATCH_OFFSETS)
 # reduced costs above -_LP_TOL are optimal: the weights sum to 1, so the
 # objective is then at most _LP_TOL above its optimum over the columns
 _LP_TOL = 1e-10
@@ -405,11 +421,16 @@ _LP_NEWTON_STEPS = 3
 _LP_ZERO_FORM = 1e-13           # |form| at the members next to the zeros
 
 
-def _bloch_columns(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Constraint columns (1, n_x, n_y, n_z) of the states alpha u0 + beta u1."""
+def _bloch_columns(alpha: np.ndarray, beta: np.ndarray, out: np.ndarray) -> None:
+    """Write the Bloch vectors n of the states alpha u0 + beta u1 into out.
+
+    out is rows 1-3 of a slice of the constraint columns (1, n_x, n_y, n_z);
+    row 0 is all ones in the column table already.
+    """
     cross = alpha.conj() * beta
-    return np.stack([np.ones(len(alpha)), 2.0 * cross.real, 2.0 * cross.imag,
-                     np.abs(alpha) ** 2 - np.abs(beta) ** 2])
+    out[0] = 2.0 * cross.real
+    out[1] = 2.0 * cross.imag
+    out[2] = np.abs(alpha) ** 2 - np.abs(beta) ** 2
 
 
 def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -419,12 +440,15 @@ def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _lp_grid():
-    """Start columns: +z, -z, +x, +y, then a Fibonacci grid on the sphere.
+def _lp_table():
+    """Column table with the start columns: +z, -z, +x, +y, then a Fibonacci grid.
 
     The four axes come first: with w = (p0, p1, 0, 0) they are a feasible,
-    nonsingular start basis.  Returns (alpha, beta, columns, monomials),
-    read-only because the cache hands the same arrays to every term.
+    nonsingular start basis.  Returns (points, columns, monomials): points
+    stacks alpha over beta and columns is A, both _LP_COLUMNS wide with the
+    first _LP_START filled in, and monomials are those of the start
+    columns.  Read-only, because the cache hands the same arrays to every
+    term; a term copies the first two and fills in the rest.
     """
     half = math.sqrt(0.5)
     i = np.arange(_LP_GRID) + 0.5
@@ -434,7 +458,12 @@ def _lp_grid():
     beta = np.concatenate([[0.0, 1.0, half, 1j * half],
                            np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)])
     alpha = alpha.astype(np.complex128)
-    tables = (alpha, beta, _bloch_columns(alpha, beta), _monomials(alpha, beta))
+    points = np.zeros((2, _LP_COLUMNS), dtype=np.complex128)
+    points[:, :_LP_START] = alpha, beta
+    columns = np.zeros((4, _LP_COLUMNS))
+    columns[0] = 1.0
+    _bloch_columns(alpha, beta, columns[1:, :_LP_START])
+    tables = (points, columns, _monomials(alpha, beta))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -480,40 +509,57 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
     """Revised simplex: min c.w subject to A w = b, w >= 0.
 
     `basis` indexes a feasible nonsingular start basis and is updated in
-    place to the optimal one; returns the basic weights.  Pricing takes
-    the most negative reduced cost; after a degenerate pivot it switches
-    to Bland's smallest-index rule until a pivot makes progress, which
-    rules out cycling.  Raises RuntimeError past _LP_MAX_PIVOTS: an LP
-    that does not finish is an internal failure, never a search fallback.
+    place to the optimal one; returns the basic weights.  The basis is
+    inverted once on entry; each pivot then updates the inverse B^-1 and
+    the basic weights x by a rank-one step: with d = B^-1 a_enter and
+    leaving row l, row l becomes row l / d_l and every other row r loses
+    d_r times that.  Pricing takes the most negative reduced cost; after a
+    degenerate pivot it switches to Bland's smallest-index rule until a
+    pivot makes progress, which rules out cycling in exact arithmetic (the
+    ratio ties here are float equalities).  Raises RuntimeError past
+    _LP_MAX_PIVOTS: an LP that does not finish is an internal failure,
+    never a search fallback.
     """
+    inverse = np.linalg.inv(A[:, basis])
+    x = (inverse @ b).tolist()
+    basic_costs = c[basis]
     bland = False
     for _ in range(_LP_MAX_PIVOTS):
-        inverse = np.linalg.inv(A[:, basis])
-        x = inverse @ b
-        reduced = c - (c[basis] @ inverse) @ A
+        reduced = c - (basic_costs @ inverse) @ A
         if bland:
             candidates = np.flatnonzero(reduced < -_LP_TOL)
             if not len(candidates):
                 break
             enter = int(candidates[0])
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -_LP_TOL:
                 break
         direction = inverse @ A[:, enter]
+        slopes = direction.tolist()
         # the first row of A is all ones, so the direction sums to 1 and
-        # some entry is usable: the LP is bounded
-        usable = direction > _LP_PIVOT_TOL
-        ratios = np.full(len(x), np.inf)
-        ratios[usable] = np.maximum(x[usable], 0.0) / direction[usable]
-        step = ratios.min()
-        ties = np.flatnonzero(ratios == step)
-        leave = int(min(ties, key=lambda row: basis[row]) if bland else ties[0])
+        # some entry is usable: the LP is bounded.  Ties go to the first
+        # row, or under Bland's rule to the smallest basis index.
+        step, leave = math.inf, 0
+        for row, (slope, weight) in enumerate(zip(slopes, x)):
+            if slope > _LP_PIVOT_TOL:
+                ratio = max(weight, 0.0) / slope
+                if ratio < step or (ratio == step and bland
+                                    and basis[row] < basis[leave]):
+                    step, leave = ratio, row
         bland = step <= _LP_STALL
+        pivot = slopes[leave]
+        pivot_row = inverse[leave] / pivot
+        inverse -= direction[:, None] * pivot_row
+        inverse[leave] = pivot_row
+        pivot_x = x[leave] / pivot
+        x = [weight - slope * pivot_x for slope, weight in zip(slopes, x)]
+        x[leave] = pivot_x
         basis[leave] = enter
+        basic_costs[leave] = c[enter]
     else:
         raise RuntimeError(f"rank-2 roof LP exceeded {_LP_MAX_PIVOTS} pivots")
-    # the explicit inverse prices; a backward-stable solve gives the weights,
+    # the updated inverse prices; a backward-stable solve gives the weights,
     # so that the decomposition reconstructs b to rounding
     return np.linalg.solve(A[:, basis], b)
 
@@ -526,9 +572,11 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
     axes, a Fibonacci grid, the zeros of the binary quartic (the
     zero-tangle members of the range) and local patches around the basic
     points of each solve.  g = 2 |sum_k Q_k alpha^(4-k) beta^k|^(1/2),
-    where Q is the binary form of Det on (u0, u1).  The value is that of
-    the rows sqrt(w_k) psi(n_k) of the optimal basis, so it is an upper
-    bound on the roof, attained by the returned decomposition.
+    where Q is the binary form of Det on (u0, u1).  The columns fill a
+    copy of the cached table (:func:`_lp_table`) from the left, and each
+    solve sees the filled prefix.  The value is that of the rows
+    sqrt(w_k) psi(n_k) of the optimal basis, so it is an upper bound on
+    the roof, attained by the returned decomposition.
     """
     if len(rows) == 1:
         value = objective.contribution(rows[0])
@@ -540,33 +588,35 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
     units = rows / np.sqrt(probs)[:, None]
     coeffs = _binary_form(4, objective.poly[1], units[0], units[1])
 
-    grid_alpha, grid_beta, grid_columns, grid_monos = _lp_grid()
+    start_points, start_columns, start_monos = _lp_table()
+    points = start_points.copy()
+    alpha, beta = points
+    A = start_columns.copy()
+    c = np.empty(_LP_COLUMNS)
     zero_alpha, zero_beta = _quartic_zeros(coeffs)
-    alpha = np.concatenate([grid_alpha, zero_alpha])
-    beta = np.concatenate([grid_beta, zero_beta])
-    A = np.hstack([grid_columns, _bloch_columns(zero_alpha, zero_beta)])
-    c = 2.0 * np.sqrt(np.abs(np.concatenate(
-        [grid_monos @ coeffs, _monomials(zero_alpha, zero_beta) @ coeffs])))
+    n = _LP_START + len(zero_alpha)
+    points[:, _LP_START:n] = zero_alpha, zero_beta
+    _bloch_columns(zero_alpha, zero_beta, A[1:, _LP_START:n])
+    c[:n] = 2.0 * np.sqrt(np.abs(np.concatenate(
+        [start_monos @ coeffs, _monomials(zero_alpha, zero_beta) @ coeffs])))
     b = np.array([probs.sum(), 0.0, 0.0, probs[0] - probs[1]])
     basis = [0, 1, 2, 3]
-    x = _simplex(A, c, b, basis)
-    for spacing in _LP_PATCHES:
+    x = _simplex(A[:, :n], c[:n], b, basis)
+    for t, norm in _LP_PATCH_STEPS:
         # 5 x 5 patches in the tangent plane of each weighted basic point:
         # (psi + t psi_perp) / |..| with psi_perp = (-beta*, alpha*) lies a
         # Bloch angle of about 2 |t| from psi
-        centre = np.array([k for k, weight in zip(basis, x) if weight > 0.0])
-        t = 0.5 * spacing * _LP_PATCH_OFFSETS
-        norm = 1.0 / np.sqrt(1.0 + np.abs(t) ** 2)
-        new_alpha = ((alpha[centre, None] - t * beta[centre, None].conj())
-                     * norm).ravel()
-        new_beta = ((beta[centre, None] + t * alpha[centre, None].conj())
-                    * norm).ravel()
-        alpha = np.concatenate([alpha, new_alpha])
-        beta = np.concatenate([beta, new_beta])
-        A = np.hstack([A, _bloch_columns(new_alpha, new_beta)])
-        c = np.concatenate([c, 2.0 * np.sqrt(np.abs(
-            _monomials(new_alpha, new_beta) @ coeffs))])
-        x = _simplex(A, c, b, basis)
+        centre = [k for k, weight in zip(basis, x.tolist()) if weight > 0.0]
+        centre_alpha = alpha[centre, None]
+        centre_beta = beta[centre, None]
+        new_alpha = ((centre_alpha - t * centre_beta.conj()) * norm).ravel()
+        new_beta = ((centre_beta + t * centre_alpha.conj()) * norm).ravel()
+        end = n + len(new_alpha)
+        points[:, n:end] = new_alpha, new_beta
+        _bloch_columns(new_alpha, new_beta, A[1:, n:end])
+        c[n:end] = 2.0 * np.sqrt(np.abs(_monomials(new_alpha, new_beta) @ coeffs))
+        n = end
+        x = _simplex(A[:, :n], c[:n], b, basis)
 
     keep = [k for k in range(len(basis)) if x[k] > 0.0]
     picked = [basis[k] for k in keep]
@@ -578,7 +628,7 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
         best_rows=best_rows,
         restarts_used=0,
         converged=True,
-        min_pure_tangle_seen=float(min(objective.min_tau, c.min() ** 2)),
+        min_pure_tangle_seen=float(min(objective.min_tau, c[:n].min() ** 2)),
         method="rank2_lp",
     )
 

@@ -363,6 +363,69 @@ def ghz_w_mixture(p: float) -> DensityOperator:
 HAAR_CONFIG = RoofConfig(restarts=2, max_sweeps=1)
 
 
+def dense_simplex(A, c, b, basis):
+    """Reference for roof._simplex: the same pricing and ratio rules, with
+    the basis inverted afresh and the weights solved afresh every pivot."""
+    bland = False
+    for _ in range(roof._LP_MAX_PIVOTS):
+        inverse = np.linalg.inv(A[:, basis])
+        x = inverse @ b
+        reduced = c - (c[basis] @ inverse) @ A
+        if bland:
+            candidates = np.flatnonzero(reduced < -roof._LP_TOL)
+            if not len(candidates):
+                break
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -roof._LP_TOL:
+                break
+        direction = inverse @ A[:, enter]
+        usable = direction > roof._LP_PIVOT_TOL
+        ratios = np.full(len(x), np.inf)
+        ratios[usable] = np.maximum(x[usable], 0.0) / direction[usable]
+        step = ratios.min()
+        ties = np.flatnonzero(ratios == step)
+        leave = int(min(ties, key=lambda row: basis[row]) if bland else ties[0])
+        bland = step <= roof._LP_STALL
+        basis[leave] = enter
+    else:
+        raise AssertionError("reference simplex did not finish")
+    return np.linalg.solve(A[:, basis], b)
+
+
+def random_feasible_lp(seed):
+    """A bounded LP with 3-9 rows, a first row of ones and a feasible start
+    basis on the first columns; some start weights are zero (degenerate
+    pivots), and some columns repeat with their costs (tied prices)."""
+    rng = np.random.default_rng([12, seed])
+    rows = int(rng.integers(3, 10))
+    cols = int(rng.integers(3 * rows, 12 * rows))
+    A = rng.uniform(-1.0, 1.0, (rows, cols))
+    A[0] = 1.0
+    c = rng.uniform(0.0, 1.0, cols)
+    for _ in range(int(rng.integers(0, rows))):
+        src, dst = rng.choice(np.arange(rows, cols), size=2, replace=False)
+        A[:, dst], c[dst] = A[:, src], c[src]
+    start = rng.uniform(0.1, 1.0, rows)
+    start[rng.random(rows) < 0.3] = 0.0
+    start[0] = max(start[0], 0.5)
+    return A, c, A[:, :rows] @ start, list(range(rows))
+
+
+def lp_optimum(A, c, basis, x):
+    """Sorted (label, weight) of the basic columns with positive weight.
+
+    A repeated column is labelled by its first copy, and zero-weight basic
+    columns are left out: at a degenerate optimum the ratio ties, which
+    rounding decides, may end in another basis with the same weights."""
+    first = {}
+    for k in range(A.shape[1]):
+        first.setdefault(tuple(A[:, k]) + (c[k],), k)
+    return sorted((first[tuple(A[:, k]) + (c[k],)], weight)
+                  for k, weight in zip(basis, x) if weight > 1e-12)
+
+
 class TestRank2LinearProgram:
     def test_seed7_against_exact_values(self):
         # exact rank-2 roofs of haar_random_state(4, 7), hub 1, from
@@ -459,6 +522,45 @@ class TestRank2LinearProgram:
         x = _simplex(A, c, b, basis)
         assert c[basis] @ x == pytest.approx(-0.05, abs=1e-12)
         assert np.all(x >= -1e-12)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_simplex_matches_a_fresh_inverse_every_pivot(self, seed):
+        A, c, b, start = random_feasible_lp(seed)
+        basis, dense_basis = list(start), list(start)
+        got = lp_optimum(A, c, basis, _simplex(A, c, b, basis))
+        expected = lp_optimum(A, c, dense_basis,
+                              dense_simplex(A, c, b, dense_basis))
+        assert [k for k, _ in got] == [k for k, _ in expected]
+        assert_allclose([w for _, w in got], [w for _, w in expected],
+                        rtol=0.0, atol=1e-12)
+
+    def test_rows_give_the_lp_objective(self, monkeypatch):
+        # the returned rows reconstruct rho, and their value is sum_k x_k c_k
+        # at the optimal basis: a misaligned slice of the points, of A or
+        # of c breaks one of the two
+        objectives = []
+        simplex = roof._simplex
+
+        def recorded(A, c, b, basis):
+            x = simplex(A, c, b, basis)
+            objectives.append(c[basis] @ x)
+            return x
+
+        monkeypatch.setattr(roof, "_simplex", recorded)
+        reductions = [reduce_pure_state(haar_random_state(4, 4000 + seed),
+                                        (1,) + partners)
+                      for seed in range(20)
+                      for partners in ((2, 3), (2, 4), (3, 4))]
+        reductions += [ghz_w_mixture(p) for p in (0.2, 0.7, 0.9)]
+        for rho in reductions:
+            partners = tuple(label for label in rho.qubit_labels if label != 1)
+            result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
+                                    RoofConfig())
+            assert result.method == "rank2_lp"
+            assert np.max(np.abs(density(result.best_rows) - rho.matrix)) <= 1e-12
+            # not closer: the zero members sit at |form| = 1e-13, where the
+            # table's form and Det of the row differ in sqrt by up to 1e-8
+            assert result.value == pytest.approx(objectives[-1] ** 2, abs=1e-9)
 
 
 class TestLevel3Search:
