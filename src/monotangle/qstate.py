@@ -22,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS = 12
-NORM_TOL = 1e-12        # squared-norm deviation accepted without rescaling
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+# squared-norm deviation accepted without rescaling; strictly inside
+# TRACE_TOL, so that the reductions of an accepted state, whose traces are
+# the same norm summed in another order, pass the trace check
+NORM_TOL = 5e-13
 PSD_TOL = 1e-10         # eigenvalues may undershoot zero by this much
 PROB_FLOOR = 1e-12      # ensemble weights below this are dropped
 

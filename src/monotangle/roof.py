@@ -9,16 +9,19 @@ R x R unitary times the eigen-rows (:func:`canonical_ensemble`, padded with
 zero rows; :func:`hjw_mix`), so the search space is the unitary group.
 Each start mixes the eigen-rows once; from there the search state is the
 rows themselves and their contributions, walked by successive two-row
-Givens rotations with each angle refined by golden section, and the
-result carries the best rows found.
+Givens rotations, and the result carries the best rows found.
 
-Leaves whose square root is 2 |P|^(2/d) for a homogeneous polynomial P of
-degree d -- the two-tangle (d = 2) and the Cayley-hyperdeterminant
-three-tangle (d = 4) -- expose (d, P) as a `polynomial` attribute.  For
-them a pair rotation is a binary form in (cos t, e^{i f} sin t) with
-d + 1 coefficients, recovered by one FFT, which makes a dense angle scan
-and the refinement profile cheap.  Other leaves (the recursive m >= 4
-tangles) are evaluated member by member on a coarse grid.
+Every pair step takes one path: the leaf supplies the pair objective of
+the rotation angles and its values on a seed grid, the best grid point
+seeds golden-section refinement of each angle, and the rotation is
+written once (:func:`_rotate`).  Leaves whose square root is 2 |P|^(2/d)
+for a homogeneous polynomial P of degree d -- the two-tangle (d = 2) and
+the Cayley-hyperdeterminant three-tangle (d = 4) -- expose (d, P) as a
+`polynomial` attribute.  For them a pair rotation is a binary form in
+(cos t, e^{i f} sin t) with d + 1 coefficients, recovered by one FFT,
+which makes a dense seed grid and the pair objective cheap.  Other leaves
+(the recursive m >= 4 tangles) are evaluated member by member on a coarse
+grid.
 
 A rank <= 2 state under the degree-4 leaf (every m = 3 term whose
 eigen-rows are not already a certified zero) takes another route, with no
@@ -50,17 +53,23 @@ from .qstate import PROB_FLOOR, DensityOperator, InputError, as_subset
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_XTOL = 1e-4
-# Rotation angle is pi-periodic; with both signs of theta explored, the
-# phase only needs [0, pi).
-_THETA_COARSE = tuple(k * math.pi / 8.0 for k in (-3, -2, -1, 1, 2, 3))
-_PHI_COARSE = tuple(k * math.pi / 4.0 for k in range(4))
-_THETA_HALF = math.pi / 8.0
-_PHI_HALF = math.pi / 4.0
 _UNITARITY_TOL = 1e-10
 
-# dense (theta, phi) scan grid for the polynomial-leaf pair step
+# Seed grids of the pair step: flattened (theta, phi) points, then the
+# golden-section half-widths of theta and phi around the pick.  The
+# rotation angle is pi-periodic; with both signs of theta explored, the
+# phase only needs [0, pi).  Polynomial leaves scan the dense grid,
+# theta-major as _scan_tables lays it out; other leaves pay two member
+# evaluations a point and take the coarse grid, phi-major.
 _SCAN_THETA = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 32, endpoint=False)
 _SCAN_PHI = np.linspace(0.0, math.pi, 16, endpoint=False)
+_DENSE_GRID = (np.repeat(_SCAN_THETA, len(_SCAN_PHI)),
+               np.tile(_SCAN_PHI, len(_SCAN_THETA)),
+               float(_SCAN_THETA[1] - _SCAN_THETA[0]),
+               float(_SCAN_PHI[1] - _SCAN_PHI[0]))
+_COARSE_GRID = (np.tile([k * math.pi / 8.0 for k in (-3, -2, -1, 1, 2, 3)], 4),
+                np.repeat([k * math.pi / 4.0 for k in range(4)], 6),
+                math.pi / 8.0, math.pi / 4.0)
 
 # A roof value certified at or below this is a zero: the objective is a sum
 # of nonnegative contributions, so no decomposition can do better.
@@ -218,13 +227,15 @@ class _Objective:
             d, poly = self.poly
             value = 2.0 * abs(poly(row)) ** (2.0 / d)
             tau = (value / p) ** 2
-            if tau < self.min_tau:
-                self.min_tau = tau
-            return value
-        tau = self._pf(row / math.sqrt(p))
+        else:
+            tau = self._pf(row / math.sqrt(p))
+            # a NaN would pass as a zero contribution and certify the roof
+            if not math.isfinite(tau):
+                raise RuntimeError(f"pure functional returned {tau!r}")
+            value = p * math.sqrt(tau) if tau > 0.0 else 0.0
         if tau < self.min_tau:
             self.min_tau = tau
-        return p * math.sqrt(tau) if tau > 0.0 else 0.0
+        return value
 
 
 def _binary_form(d: int, poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -295,14 +306,12 @@ def _scan_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return radial, np.exp(1j * np.outer(k, _SCAN_PHI))
 
 
-def _apply_rotation(M, i, j, theta: float, phi: float) -> None:
-    """Apply the phased Givens rotation (theta, phi) to rows (i, j) of M."""
+def _rotate(vi, vj, theta: float, phi: float):
+    """Rows (vi, vj) after the phased Givens rotation (theta, phi)."""
     c = math.cos(theta)
     s = math.sin(theta)
     eip = complex(math.cos(phi), math.sin(phi))
-    vi = M[i].copy()
-    M[i] = c * vi + (eip * s) * M[j]
-    M[j] = c * M[j] - (eip.conjugate() * s) * vi
+    return c * vi + (eip * s) * vj, c * vj - (eip.conjugate() * s) * vi
 
 
 def _descend(M, w, objective, config) -> tuple[float, bool]:
@@ -332,19 +341,20 @@ def _pair_step(M, objective, w, i, j) -> None:
     The rotation with angle t and phase f sends
         row_i -> cos(t) row_i + e^{i f} sin(t) row_j
         row_j -> cos(t) row_j - e^{-i f} sin(t) row_i.
-    Only the two touched rows change the objective.  For a polynomial leaf
-    of degree d both rotated contributions are moduli of binary forms in
-    (cos t, e^{i f} sin t) with d + 1 shared coefficients, so a dense
-    (t, f) grid scan is one small matrix product.  Other leaves cost two
-    member evaluations per trial and are scanned on a coarse grid.  Either
-    grid seeds golden-section refinement of each angle in turn.
+    Only the two touched rows change the objective.  The leaf supplies the
+    pair objective of (t, f) and its values on a seed grid.  For a
+    polynomial leaf of degree d both rotated contributions are moduli of
+    binary forms in (cos t, e^{i f} sin t) with d + 1 shared coefficients,
+    so the dense grid is one small matrix product; other leaves cost two
+    member evaluations a point and take the coarse grid.  The grid's best
+    point, if it improves, seeds golden-section refinement of each angle
+    in turn.
     """
     current = w[i] + w[j]
     if current <= 0.0:
         return  # contributions are nonnegative: this pair cannot improve
     vi = M[i]
     vj = M[j]
-
     if objective.poly is not None:
         d, poly = objective.poly
         # scaled so that |form|^(2/d) is the contribution 2 |P|^(2/d)
@@ -352,32 +362,20 @@ def _pair_step(M, objective, w, i, j) -> None:
         pair_obj = _pair_profile(d, coeffs)
         radial, phases = _scan_tables(d)
         rows = np.abs((radial * coeffs) @ phases) ** (2.0 / d)
-        grid = (rows[:len(_SCAN_THETA)] + rows[len(_SCAN_THETA):]).ravel()
-        flat = int(np.argmin(grid))
-        theta = float(_SCAN_THETA[flat // len(_SCAN_PHI)])
-        phi = float(_SCAN_PHI[flat % len(_SCAN_PHI)])
-        best = float(grid[flat])
-        if best >= current:
-            theta, phi, best = 0.0, 0.0, current
-        th_half = float(_SCAN_THETA[1] - _SCAN_THETA[0])
-        ph_half = float(_SCAN_PHI[1] - _SCAN_PHI[0])
+        seeds = (rows[:len(_SCAN_THETA)] + rows[len(_SCAN_THETA):]).ravel()
+        thetas, phis, th_half, ph_half = _DENSE_GRID
     else:
         def pair_obj(theta: float, phi: float) -> float:
-            c = math.cos(theta)
-            s = math.sin(theta)
-            eip = complex(math.cos(phi), math.sin(phi))
-            return (objective.contribution(c * vi + (eip * s) * vj)
-                    + objective.contribution(c * vj - (eip.conjugate() * s) * vi))
+            ri, rj = _rotate(vi, vj, theta, phi)
+            return objective.contribution(ri) + objective.contribution(rj)
 
+        thetas, phis, th_half, ph_half = _COARSE_GRID
+        seeds = np.array([pair_obj(t, f) for t, f in zip(thetas, phis)])
+
+    flat = int(np.argmin(seeds))
+    theta, phi, best = float(thetas[flat]), float(phis[flat]), float(seeds[flat])
+    if best >= current:
         theta, phi, best = 0.0, 0.0, current
-        for f in _PHI_COARSE:
-            for t in _THETA_COARSE:
-                val = pair_obj(t, f)
-                if val < best:
-                    theta, phi, best = t, f, val
-        th_half = _THETA_HALF
-        ph_half = _PHI_HALF
-
     t_ref, f_t = _golden_min(lambda t: pair_obj(t, phi),
                              theta - th_half, theta + th_half, _ANGLE_XTOL)
     if f_t < best:
@@ -388,7 +386,7 @@ def _pair_step(M, objective, w, i, j) -> None:
         phi, best = p_ref, f_p
     if best >= current:
         return
-    _apply_rotation(M, i, j, theta, phi)
+    M[i], M[j] = _rotate(vi, vj, theta, phi)
     w[i] = objective.contribution(M[i])
     w[j] = objective.contribution(M[j])
 
@@ -647,7 +645,6 @@ def _hjw_search(rows: np.ndarray, objective: _Objective,
     # there and keep the kick escape for polynomial leaves
     kicks = _KICKS if objective.poly is not None else 1
     best_obj = math.inf
-    best_rows = hjw_mix(rows, np.eye(r))
     converged = False
     restarts_used = 0
 
@@ -665,9 +662,9 @@ def _hjw_search(rows: np.ndarray, objective: _Objective,
                 if obj * obj <= EARLY_STOP_VALUE or r < 2:
                     break
                 i, j = sorted(rng.choice(r, size=2, replace=False))
-                _apply_rotation(M, int(i), int(j),
-                                rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
-                                rng.uniform(0.0, math.pi))
+                M[i], M[j] = _rotate(M[i], M[j],
+                                     rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
+                                     rng.uniform(0.0, math.pi))
                 w[i] = objective.contribution(M[i])
                 w[j] = objective.contribution(M[j])
             obj, seg_clean = _descend(M, w, objective, config)
@@ -679,13 +676,12 @@ def _hjw_search(rows: np.ndarray, objective: _Objective,
             converged = True
             break
 
-    min_seen = objective.min_tau if objective.min_tau != math.inf else 0.0
     return RoofResult(
         value=float(best_obj * best_obj),
         best_rows=best_rows,
         restarts_used=restarts_used,
         converged=converged,
-        min_pure_tangle_seen=float(min_seen),
+        min_pure_tangle_seen=float(objective.min_tau),
         method="roof",
     )
 

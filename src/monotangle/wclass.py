@@ -28,12 +28,14 @@ from .qstate import (
 )
 from .tangle import TangleValue
 
-_NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class WClassParams:
-    """Coefficients (a, b_1 ... b_n) with unit total weight."""
+    """Coefficients (a, b_1 ... b_n) with unit total weight.
+
+    Accepted exactly when the state they build is (:func:`wclass_state`
+    raises otherwise), so that the two never disagree at the boundary.
+    """
 
     a: complex
     b: np.ndarray
@@ -43,11 +45,9 @@ class WClassParams:
         if b.ndim != 1 or len(b) < 2:
             raise InputError("b must be a vector of length n >= 2")
         check_num_qubits(len(b))
-        total = abs(self.a) ** 2 + float(np.sum(np.abs(b) ** 2))
-        if abs(total - 1.0) > _NORM_TOL:
-            raise InputError(f"coefficients not normalized: weight {total!r}")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", b)
+        wclass_state(self)
 
     @property
     def num_qubits(self) -> int:

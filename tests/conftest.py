@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from monotangle.qstate import PROB_FLOOR, DensityOperator, StateVector
+from monotangle.qstate import (
+    NORM_TOL,
+    PROB_FLOOR,
+    TRACE_TOL,
+    DensityOperator,
+    StateVector,
+)
 
 
 def oracle_partial_trace(mat: np.ndarray, labels, keep_labels) -> np.ndarray:
@@ -83,6 +89,20 @@ def random_mixed_2q(seed: int) -> DensityOperator:
     mat = g @ g.conj().T
     mat /= np.trace(mat).real
     return DensityOperator((1, 2), mat)
+
+
+# squared-norm excesses just inside the acceptance and the trace tolerance,
+# on both sides of unit norm
+NORM_BOUNDARY_EXCESSES = tuple(
+    sign * tol * (1.0 - 10.0 ** -k)
+    for tol in (NORM_TOL, TRACE_TOL) for k in (5, 6, 7) for sign in (1.0, -1.0))
+
+
+def scaled_state_record(amps: np.ndarray, excess: float) -> dict:
+    """State-file record of `amps` scaled to <psi|psi> = 1 + excess."""
+    amps = amps * math.sqrt(1.0 + excess)
+    return {"num_qubits": len(amps).bit_length() - 1,
+            "amplitudes": [[float(a.real), float(a.imag)] for a in amps]}
 
 
 @pytest.fixture

@@ -16,6 +16,8 @@ from monotangle.monogamy import MonogamyReport
 from monotangle.qstate import haar_random_state, load_state, save_state
 from monotangle.wclass import w_state_params, wclass_state
 
+from .conftest import scaled_state_record
+
 
 def _schema_registry():
     root = resources.files("monotangle") / "schemas"
@@ -302,6 +304,17 @@ class TestSmCheck:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    def test_state_at_the_norm_boundary(self, runner, tmp_path):
+        # ckw-check accepted this file, and sm-check then exited 2 with
+        # "error: trace must be 1" on one of its reductions
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(scaled_state_record(
+            haar_random_state(4, 8).amplitudes, 0.99999e-12)))
+        for command in ("ckw-check", "sm-check"):
+            result = invoke(runner, [command, str(path), "--out",
+                                     str(tmp_path / f"{command}.json")])
+            assert result.exit_code == 0, result.stderr
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_state_file_exit_2(self, runner, tmp_path, token):
         # was "internal error: LinAlgError: SVD did not converge"
@@ -347,6 +360,20 @@ class TestBatch:
             fields = line.split(",")
             assert abs(float(fields[4])) <= 1e-6
             assert fields[6] == "0"
+
+    def test_timing_fills_only_runtime(self, runner):
+        base = ["batch", "--family", "haar", "--n", "3", "--samples", "4"]
+        timed = invoke(runner, base + ["--timing"])
+        plain = invoke(runner, base + ["--no-timing"])
+        assert timed.exit_code == plain.exit_code == 0
+        timed_rows = [line.split(",") for line in timed.stdout.splitlines()]
+        plain_rows = [line.split(",") for line in plain.stdout.splitlines()]
+        assert timed_rows[0] == plain_rows[0]
+        assert len(timed_rows) == len(plain_rows) == 1 + 4
+        for got, want in zip(timed_rows[1:], plain_rows[1:]):
+            assert got[6].isdigit()
+            assert want[6] == "0"
+            assert got[:6] == want[:6]
 
     def test_haar_family_ckw_nonnegative(self, runner, tmp_path):
         out = tmp_path / "haar.csv"

@@ -24,7 +24,14 @@ from monotangle.qstate import (
     state_from_dict,
     state_to_dict,
 )
-from .conftest import oracle_partial_trace
+from monotangle.monogamy import sm_residual
+from monotangle.roof import RoofConfig
+
+from .conftest import (
+    NORM_BOUNDARY_EXCESSES,
+    oracle_partial_trace,
+    scaled_state_record,
+)
 
 
 class TestKetFromBasisTerms:
@@ -330,3 +337,27 @@ class TestHaarRandom:
     def test_normalized(self):
         state = haar_random_state(4, 7)
         assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1) < 1e-12
+
+
+class TestNormBoundary:
+    """A state the program accepted never fails a later trace check: the
+    reductions' traces are its norm summed in another order, so the norm
+    accepted without rescaling sits strictly inside TRACE_TOL."""
+
+    def test_four_qubit_sm_residual(self):
+        cfg = RoofConfig(restarts=2, max_sweeps=1)
+        for seed in range(20):
+            amps = haar_random_state(4, seed).amplitudes
+            for excess in NORM_BOUNDARY_EXCESSES:
+                state = state_from_dict(scaled_state_record(amps, excess))
+                sm_residual(state, 1, cfg)
+
+    def test_three_qubit_reductions(self):
+        for seed in range(100):
+            amps = haar_random_state(3, seed).amplitudes
+            for excess in NORM_BOUNDARY_EXCESSES:
+                state = state_from_dict(scaled_state_record(amps, excess))
+                density_from_pure(state)
+                for size in (1, 2):
+                    for keep in combinations((1, 2, 3), size):
+                        reduce_pure_state(state, keep)

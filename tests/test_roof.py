@@ -15,7 +15,7 @@ from monotangle.qstate import (
 )
 from monotangle import roof
 from monotangle.roof import (
-    _SCAN_PHI,
+    _DENSE_GRID,
     _SCAN_THETA,
     RoofConfig,
     _binary_form,
@@ -200,6 +200,18 @@ class TestMTangleMixed:
             ), s
         assert generic_steps
 
+    @pytest.mark.parametrize("where", ["always", "above_0.3"])
+    def test_nan_leaf_is_an_internal_failure(self, where):
+        # a NaN contribution used to count as 0, which certified a zero
+        # roof (converged) where pure_functional_2q gives 0.1909
+        def leaf(member):
+            tau = pure_functional_2q(member)
+            return math.nan if where == "always" or tau > 0.3 else tau
+
+        cfg = RoofConfig(restarts=2, max_sweeps=5)
+        with pytest.raises(RuntimeError, match="nan"):
+            m_tangle_mixed(random_mixed_2q(5003), 1, (2,), leaf, cfg)
+
     def test_wclass_three_tangle_roofs_vanish(self):
         from monotangle.tangle import mixed_tangle_term
 
@@ -313,8 +325,9 @@ class TestPolynomialLeaves:
             rows = np.abs((radial * coeffs) @ phases) ** (2.0 / d)
             grid = (rows[:len(_SCAN_THETA)] + rows[len(_SCAN_THETA):]).ravel()
             for flat in rng.choice(len(grid), size=8, replace=False):
-                theta = _SCAN_THETA[flat // len(_SCAN_PHI)]
-                phi = _SCAN_PHI[flat % len(_SCAN_PHI)]
+                # the seed grid's flattened points follow the scan's layout
+                theta = _DENSE_GRID[0][flat]
+                phi = _DENSE_GRID[1][flat]
                 c, s, e = math.cos(theta), math.sin(theta), np.exp(1j * phi)
                 expected = (objective.contribution(c * x + e * s * y)
                             + objective.contribution(c * y - e.conjugate() * s * x))

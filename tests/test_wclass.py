@@ -16,6 +16,8 @@ from monotangle.wclass import (
     wclass_two_tangle,
 )
 
+from .conftest import NORM_BOUNDARY_EXCESSES
+
 
 class TestWClassState:
     def test_w_state_amplitudes(self):
@@ -48,6 +50,26 @@ class TestWClassState:
     def test_too_many_qubits_rejected(self):
         with pytest.raises(InputError):
             wclass_state(WClassParams(0.0, np.full(64, 0.125)))
+
+
+class TestNormBoundary:
+    def test_accepted_coefficients_build_a_state(self):
+        # at the parent WClassParams summed |a|^2 + sum |b|^2 against its
+        # own tolerance: 132 of the 1539 sets here that it accepted then
+        # failed wclass_state
+        accepted = 0
+        for n in (3, 4, 5, 6):
+            for seed in range(50):
+                base = wclass_random(n, seed)
+                for excess in NORM_BOUNDARY_EXCESSES:
+                    scale = np.sqrt(1.0 + excess)
+                    try:
+                        params = WClassParams(base.a * scale, base.b * scale)
+                    except InputError:
+                        continue
+                    wclass_state(params)
+                    accepted += 1
+        assert accepted  # the check is not vacuous
 
 
 class TestWClassRandom:
