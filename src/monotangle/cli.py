@@ -240,7 +240,7 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             "focus": focus,
             "num_qubits": n,
         }
-        if partners:
+        if partners is not None:
             term = mixed_tangle_term(state, focus, _parse_partners(partners),
                                      config)
             payload["mode"] = "reduction"

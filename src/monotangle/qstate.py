@@ -222,7 +222,9 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     The matrix is viewed as one axis of size 2 per row qubit and per column
     qubit, in label order.  Row and column axes are permuted alike, kept
     labels first, and the environment block is traced:
-    rho_keep[i, j] = sum_e rho[(i, e), (j, e)].
+    rho_keep[i, j] = sum_e rho[(i, e), (j, e)].  The block is divided by
+    its own trace: that trace is rho's, summed in another order, so an
+    operator accepted at the edge of TRACE_TOL could otherwise fail it.
     """
     keep = as_subset(keep)
     labels = rho.qubit_labels
@@ -237,7 +239,8 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     blocks = (rho.matrix.reshape((2,) * 2 * k)
               .transpose(order + tuple(k + p for p in order))
               .reshape(dim_keep, dim_env, dim_keep, dim_env))
-    return DensityOperator(keep.labels, np.trace(blocks, axis1=1, axis2=3))
+    reduced = np.trace(blocks, axis1=1, axis2=3)
+    return DensityOperator(keep.labels, reduced / np.trace(reduced).real)
 
 
 def _pure_factor(amps: np.ndarray, num_qubits: int, keep_positions) -> np.ndarray:

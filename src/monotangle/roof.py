@@ -169,6 +169,9 @@ def hjw_mix(rows: np.ndarray, mixing: np.ndarray) -> np.ndarray:
     r = mixing.shape[0]
     if r < len(rows):
         raise InputError(f"mixing size {r} smaller than row count {len(rows)}")
+    # NaN would pass the unitarity comparison below
+    if not np.isfinite(mixing).all():
+        raise InputError("mixing entries must be finite (no NaN or inf)")
     if np.max(np.abs(mixing.conj().T @ mixing - np.eye(r))) > _UNITARITY_TOL:
         raise InputError("mixing matrix is not unitary within tolerance")
     padded = np.zeros((r, rows.shape[1]), dtype=np.complex128)

@@ -2,9 +2,11 @@
 
 The one-tangle of a pure state is 4 det of the focus qubit's reduced
 density matrix.  The two-tangle of a two-qubit mixed state is the squared
-concurrence (the closed form of its convex roof).  The n-tangle of a pure
-state subtracts, from the one-tangle, every mixed m-tangle of the
-focus-containing reductions raised to the power m/2, for m = 2 ... n-1.
+concurrence, the closed form of its convex roof, which one function,
+:func:`_concurrence_matrix`, computes from the tau matrix of a factor of
+the state.  The n-tangle of a pure state subtracts, from the one-tangle,
+every mixed m-tangle of the focus-containing reductions raised to the
+power m/2, for m = 2 ... n-1.
 
 That (level, subset) hierarchy is written once, on raw amplitudes:
 :func:`_hierarchy` lists the terms, as :class:`TermRecord` records, and
@@ -34,17 +36,14 @@ from .qstate import (
     as_subset,
     check_labels_in_range,
 )
-from .roof import RoofResult, m_tangle_mixed as _roof_minimize
+from .roof import RoofResult, canonical_ensemble
+from .roof import m_tangle_mixed as _roof_minimize
 
 # sy x sy is antidiagonal with entries (-1, 1, 1, -1), so (sy x sy) v is
-# these signs times v reversed, and the spin flip (sy x sy) M (sy x sy)
-# reverses the rows and columns of M and applies their outer product;
-# fixed convention for concurrence
+# these signs times v reversed; fixed convention for concurrence
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-_FLIP_SIGNS = np.outer(_YY_SIGNS, _YY_SIGNS)
 
-_EIG_FLOOR = 1e-14      # spin-flip eigenvalues below this count as zero
-_VALUE_NOISE = 1e-10    # tangles may undershoot 0 / overshoot 1 by this much
+_VALUE_NOISE = 1e-10  # tangles may undershoot 0 / overshoot 1 by this much
 
 
 @dataclass(frozen=True)
@@ -95,38 +94,31 @@ def one_tangle(state: StateVector, focus: int) -> TangleValue:
     return TangleValue(_clamp_noise(raw), level=1)
 
 
-def _concurrence_matrix(mat: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix given as a raw 4x4 array."""
-    flipped = _FLIP_SIGNS * mat[::-1, ::-1].conj()
-    ev = np.linalg.eigvals(mat @ flipped).real
-    ev[ev < _EIG_FLOOR] = 0.0
-    lam = np.sort(np.sqrt(ev))[::-1]
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+def _concurrence_matrix(f: np.ndarray) -> float:
+    """Concurrence of the two-qubit state f f^dagger, from a 4-row factor f.
 
-
-def _factor_concurrence(f: np.ndarray) -> float:
-    """Concurrence of the two-qubit state f f^dagger, from its 4-row factor f.
-
-    The l_i are the singular values of the symmetric matrix
-    f^T (sy x sy) f (Wootters' tau matrix), whose squares are the
-    eigenvalues of rho (sy x sy) rho* (sy x sy); no square root of a
-    round-off eigenvalue enters.
+    C = max(0, l1 - l2 - l3 - l4), where the decreasing l_i are the
+    singular values of the symmetric matrix f^T (sy x sy) f (Wootters'
+    tau matrix).  Their squares are the eigenvalues of
+    rho (sy x sy) rho* (sy x sy), but no square root of a round-off
+    eigenvalue enters.  Any factor of rho gives the same value.
     """
     lam = np.linalg.svd(f.T @ (_YY_SIGNS[:, None] * f[::-1]), compute_uv=False)
     return max(0.0, float(lam[0] - lam[1:4].sum()))
 
 
 def concurrence_2q(rho) -> float:
-    """Concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit state.
+    """Concurrence of a two-qubit state (Wootters, PRL 80, 2245, 1998).
 
-    The l_i are the decreasing square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).
+    Read from the factor whose columns are the eigen-rows of
+    :func:`monotangle.roof.canonical_ensemble` -- the decomposition the
+    roof search starts from, with weights at or below PROB_FLOOR dropped.
     """
     if rho.num_qubits != 2:
         raise InputError(
             f"concurrence needs a 2-qubit operator, got {rho.num_qubits} qubits"
         )
-    return _concurrence_matrix(rho.matrix)
+    return _concurrence_matrix(canonical_ensemble(rho).T)
 
 
 def two_tangle(rho) -> TangleValue:
@@ -172,7 +164,7 @@ def pure_three_tangle(amps: np.ndarray) -> float:
 
     Equals the recursive pure three-tangle tau_1 - C_12^2 - C_13^2 for
     every hub (Coffman, Kundu & Wootters, PRA 61, 052306, 2000), without
-    the two concurrence eigen-solves, and is never negative.
+    the two concurrence terms, and is never negative.
     """
     return 4.0 * float(abs(_cayley(amps)))
 
@@ -253,7 +245,7 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     positions = tuple(p - 1 for p in kept)
     m = len(kept)
     if m == 2:
-        value = _factor_concurrence(_pure_factor(amps, n, positions)) ** 2
+        value = _concurrence_matrix(_pure_factor(amps, n, positions)) ** 2
         return TermRecord(partners, m, value, None)
     rho = DensityOperator(kept, _reduced_from_pure(amps, n, positions))
     convergence_log: list[bool] = []

@@ -155,6 +155,16 @@ class TestTangle:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("raw", ["", ","])
+    def test_empty_partner_list_is_input_error(self, runner, tmp_path, w3,
+                                               raw):
+        # an explicit empty list names no reduction; it is not the hierarchy
+        state_file = tmp_path / "w3.json"
+        save_state(w3, state_file)
+        result = invoke(runner, ["tangle", str(state_file), "--partners", raw])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
     def test_uncapped_modes_ignore_the_cap_variable(self, runner, tmp_path,
                                                    monkeypatch, w3):
         # reduction mode evaluates no hierarchy, so it never reads the cap

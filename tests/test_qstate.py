@@ -213,6 +213,26 @@ class TestPartialTrace:
         with pytest.raises(InputError):
             partial_trace(density_from_pure(bell_state), ())
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_reductions_of_an_operator_at_the_trace_edge(self, sign):
+        # a reduced trace is the same sum as rho's in another order, so it
+        # could land just outside TRACE_TOL where rho's was just inside
+        accepted = 0
+        for seed in range(300):
+            amps = haar_random_state(3, seed).amplitudes
+            mat = np.outer(amps, amps.conj())
+            mat *= (1.0 + sign * 0.99999e-12) / np.trace(mat).real
+            try:
+                rho = DensityOperator((1, 2, 3), mat)
+            except InputError:
+                continue
+            accepted += 1
+            for size in (1, 2):
+                for keep in combinations((1, 2, 3), size):
+                    reduced = partial_trace(rho, keep)
+                    assert abs(np.trace(reduced.matrix) - 1.0) <= 1e-15
+        assert accepted > 0
+
     def test_keep_everything_is_identity(self, bell_state):
         rho = density_from_pure(bell_state)
         again = partial_trace(rho, (1, 2))

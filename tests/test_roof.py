@@ -119,6 +119,17 @@ class TestHjwMix:
         with pytest.raises(InputError):
             hjw_mix(rows, np.ones((2, 2), dtype=complex))
 
+    @pytest.mark.parametrize("make", [
+        lambda: np.full((2, 2), np.nan, dtype=complex),
+        lambda: np.diag([np.inf, np.inf]).astype(complex),
+        lambda: np.where(np.eye(2) == 1, 1.0, np.array([[0, np.nan], [0, 0]])),
+    ], ids=["nan", "inf_identity", "one_nan_entry"])
+    def test_non_finite_mixing_rejected(self, w3, make):
+        # NaN compared with the unitarity tolerance must not read as unitary
+        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        with pytest.raises(InputError, match="finite"):
+            hjw_mix(rows, make())
+
     def test_too_small_mixing_rejected(self, w3):
         rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
         with pytest.raises(InputError):

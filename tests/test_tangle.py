@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monotangle.qstate import (
+    DensityOperator,
     InputError,
     StateVector,
     density_from_pure,
@@ -10,7 +11,7 @@ from monotangle.qstate import (
     partial_trace,
     reduce_pure_state,
 )
-from monotangle.roof import RoofConfig, m_tangle_mixed
+from monotangle.roof import RoofConfig, _random_unitary, m_tangle_mixed
 from monotangle.tangle import (
     TangleValue,
     concurrence_2q,
@@ -58,8 +59,6 @@ class TestConcurrence:
         )
 
     def test_classical_mixture_zero(self):
-        from monotangle.qstate import DensityOperator
-
         rho = DensityOperator((1, 2), np.diag([0.5, 0, 0, 0.5]).astype(complex))
         assert concurrence_2q(rho) == 0.0
 
@@ -78,8 +77,10 @@ class TestConcurrence:
         assert concurrence_2q(random_mixed_2q(seed)) >= 0.0
 
     def test_matches_textbook_spin_flip(self):
-        # Wootters' recipe written out with sy (x) sy matrix products, the
-        # same 1e-14 eigenvalue floor and a sort; ranks 1-4, exact equality
+        # Wootters' recipe written out with sy (x) sy matrix products, a
+        # 1e-14 eigenvalue floor and a sort; ranks 1-4.  The recipe takes
+        # square roots of round-off eigenvalues, so it is a looser reference
+        # than the Bell-diagonal states below (largest gap seen: 2.4e-13)
         from .conftest import random_mixed_2q
 
         sy = np.array([[0, -1j], [1j, 0]])
@@ -91,7 +92,29 @@ class TestConcurrence:
             ev[ev < 1e-14] = 0.0
             lam = np.sort(np.sqrt(ev))[::-1]
             expected = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-            assert concurrence_2q(rho) == expected, seed
+            assert abs(concurrence_2q(rho) - expected) <= 1e-12, seed
+
+    def test_exact_on_locally_rotated_bell_diagonal_states(self):
+        # sum_k p_k |B_k><B_k| under a local unitary has the exact
+        # concurrence max(0, 2 p_max - 1): Dirichlet weights, and two Bell
+        # weights (1 - eps, eps) with eps down to 10^-9.5, where a square
+        # root of the spin-flip eigenvalues loses half the digits
+        rng = np.random.default_rng(2245)
+        s = 2 ** -0.5
+        bell = np.array([[s, 0, 0, s], [s, 0, 0, -s],
+                         [0, s, s, 0], [0, s, -s, 0]], dtype=complex)
+        for k in range(400):
+            if k % 2:
+                eps = 10.0 ** rng.uniform(-9.5, -5.0)
+                weights = np.zeros(4)
+                weights[rng.permutation(4)[:2]] = (1.0 - eps, eps)
+            else:
+                weights = rng.dirichlet(np.ones(4))
+            u = np.kron(_random_unitary(2, rng), _random_unitary(2, rng))
+            rows = u @ (np.sqrt(weights)[:, None] * bell).T
+            rho = DensityOperator((1, 2), rows @ rows.conj().T)
+            exact = max(0.0, 2.0 * weights.max() - 1.0)
+            assert abs(concurrence_2q(rho) - exact) <= 1e-14, k
 
 
 class TestTwoTangle:

@@ -71,3 +71,5 @@ def test_traced_units_keep_every_listed_metric():
         (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
     metrics = tracing.layer_metrics(tr, 4)
     assert listed - WORKER_METRICS <= set(metrics)
+    # the hierarchy's level-2 terms run through the concurrence span
+    assert metrics["tangle.concurrence.calls"][0] > 0
