@@ -289,12 +289,34 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
+def _json_number(value):
+    """`value` if it is a JSON number: a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def complex_from_json(pair) -> complex:
+    """A record's [re, im] entry: exactly two JSON numbers."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"expected [re, im], got {pair!r}")
+    return complex(_json_number(pair[0]), _json_number(pair[1]))
+
+
 def state_from_dict(data: dict) -> StateVector:
+    """Read a state record as strictly as `state.schema.json` types it.
+
+    `num_qubits` must be an integer (an integral float such as 2.0 counts,
+    as in draft-07), and every amplitude exactly two numbers; keys beyond
+    the two are ignored.
+    """
     try:
-        n = int(data["num_qubits"])
-        amps = np.array(
-            [complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128
-        )
+        n = _json_number(data["num_qubits"])
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError(f"num_qubits must be an integer, got {n!r}")
+        n = int(n)
+        amps = np.array([complex_from_json(pair) for pair in data["amplitudes"]],
+                        dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed state record: {exc}") from exc
     check_num_qubits(n)

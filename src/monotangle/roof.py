@@ -23,21 +23,21 @@ which makes a dense seed grid and the pair objective cheap.  Other leaves
 (the recursive m >= 4 tangles) are evaluated member by member on a coarse
 grid.
 
-A rank <= 2 state under the degree-4 leaf (every m = 3 term whose
-eigen-rows are not already a certified zero) takes another route, with no
-search: its pure states form the Bloch sphere of its range, and its roof is
-the lower convex envelope of sqrt(tau) over that sphere at rho's Bloch
-point (Osterloh, Siewert & Uhlmann, PRA 77, 032310, 2008).  A small linear
-program over a cached grid, the zeros of the binary quartic and local
-patches solves it (:func:`_rank2_lp`), and its optimal basis is the
-returned decomposition.
+A rank <= 2 state under the degree-4 leaf (every m = 3 term of rank <= 2)
+takes another route, with no search: its pure states form the Bloch sphere
+of its range, and its roof is the lower convex envelope of sqrt(tau) over
+that sphere at rho's Bloch point (Osterloh, Siewert & Uhlmann, PRA 77,
+032310, 2008).  A small linear program over a cached grid, the zeros of
+the binary quartic and local patches solves it (:func:`_rank2_lp`) from
+the eigen-rows, and its optimal basis is the returned decomposition.
 
 Either value is attained by the returned rows, so it is an upper bound on
-the true roof; the search is exact for the workloads the package certifies
+the roof of the leaf it was given.  For m <= 3 the leaf is exact, so the
+value bounds the true roof; the search is exact on the certified workloads
 (two-qubit tangles against the concurrence closed form, and reductions
-whose members all have zero tangle, where the objective is identically
-zero), and the linear program comes within ~1e-7 of the exact rank-2
-level-3 roofs.
+whose members all have zero tangle), and the LP comes within ~1e-7 of the
+exact rank-2 level-3 roofs.  An m >= 4 leaf subtracts inner roofs that are
+upper bounds, so it lies below the true leaf: its value bounds no true roof.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ class RoofResult:
         2 and 3) are moduli, so there it is never negative.
     method: the route that produced the value: "roof" for the HJW search
         (its certified-zero exit included), "rank2_lp" for the linear
-        program of a rank <= 2 level-3 roof, which spends no restarts
-        (restarts_used = 0) and is converged by construction.
+        program of a rank <= 2 level-3 roof (its start exit included):
+        no restarts (restarts_used = 0), converged by construction.
     """
 
     value: float
@@ -514,12 +514,12 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
     inverted once on entry; each pivot then updates the inverse B^-1 and
     the basic weights x by a rank-one step: with d = B^-1 a_enter and
     leaving row l, row l becomes row l / d_l and every other row r loses
-    d_r times that.  Pricing takes the most negative reduced cost; after a
-    degenerate pivot it switches to Bland's smallest-index rule until a
-    pivot makes progress, which rules out cycling in exact arithmetic (the
-    ratio ties here are float equalities).  Raises RuntimeError past
-    _LP_MAX_PIVOTS: an LP that does not finish is an internal failure,
-    never a search fallback.
+    d_r times that.  Pricing takes the most negative reduced cost, ratio
+    ties going to the first row.  After a degenerate pivot it switches to
+    Bland's rule until a pivot makes progress: the first improving column
+    enters, and of the rows within _LP_STALL of the smallest ratio, the
+    smallest basis index leaves.  Raises RuntimeError past _LP_MAX_PIVOTS:
+    an LP that does not finish is an internal failure, never a fallback.
     """
     inverse = np.linalg.inv(A[:, basis])
     x = (inverse @ b).tolist()
@@ -539,15 +539,18 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
         direction = inverse @ A[:, enter]
         slopes = direction.tolist()
         # the first row of A is all ones, so the direction sums to 1 and
-        # some entry is usable: the LP is bounded.  Ties go to the first
-        # row, or under Bland's rule to the smallest basis index.
+        # some entry is usable: the LP is bounded
         step, leave = math.inf, 0
         for row, (slope, weight) in enumerate(zip(slopes, x)):
             if slope > _LP_PIVOT_TOL:
                 ratio = max(weight, 0.0) / slope
-                if ratio < step or (ratio == step and bland
-                                    and basis[row] < basis[leave]):
+                if ratio < step:
                     step, leave = ratio, row
+        if bland:  # so that rounding cannot split a tie
+            for row, (slope, weight) in enumerate(zip(slopes, x)):
+                if (slope > _LP_PIVOT_TOL and basis[row] < basis[leave]
+                        and max(weight, 0.0) / slope <= step + _LP_STALL):
+                    leave = row
         bland = step <= _LP_STALL
         pivot = slopes[leave]
         pivot_row = inverse[leave] / pivot
@@ -575,13 +578,13 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
     points of each solve.  g = 2 |sum_k Q_k alpha^(4-k) beta^k|^(1/2),
     where Q is the binary form of Det on (u0, u1).  The columns fill a
     copy of the cached table (:func:`_lp_table`) from the left, and each
-    solve sees the filled prefix.  The value is that of the rows
-    sqrt(w_k) psi(n_k) of the optimal basis, so it is an upper bound on
-    the roof, attained by the returned decomposition.
+    solve sees the filled prefix.  The start basis, p0 and p1 on the +-z
+    axes, is the eigen-rows, returned for a pure state or a certified zero;
+    otherwise the rows sqrt(w_k) psi(n_k) of the optimal basis are returned.
     """
-    if len(rows) == 1:
-        value = objective.contribution(rows[0])
-        return RoofResult(value=float(value * value), best_rows=rows,
+    start = sum(objective.contribution(row) for row in rows)
+    if len(rows) == 1 or start * start <= EARLY_STOP_VALUE:
+        return RoofResult(value=float(start * start), best_rows=rows,
                           restarts_used=0, converged=True,
                           min_pure_tangle_seen=float(objective.min_tau),
                           method="rank2_lp")
@@ -704,12 +707,10 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     config : RoofConfig
         Search budget; identical configs give bit-identical results.
 
-    Under the degree-4 leaf (every m = 3 term), a rho of rank <= 2 whose
-    eigen-rows are not already a certified zero is solved by the linear
-    program of :func:`_rank2_lp` (method "rank2_lp"); `config` does not
-    apply there.  Every other roof is the HJW search of
-    :func:`_hjw_search` (method "roof"), including the certified-zero exit
-    on the eigen-rows.
+    Under the degree-4 leaf (every m = 3 term), a rho of rank <= 2 is
+    solved by the linear program of :func:`_rank2_lp` (method "rank2_lp");
+    `config` does not apply there.  Every other roof is the HJW search of
+    :func:`_hjw_search` (method "roof").
     """
     partners = as_subset(partners)
     expected = tuple(sorted((focus,) + partners.labels))
@@ -720,7 +721,5 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     rows = canonical_ensemble(rho)
     objective = _Objective(pure_functional)
     if objective.poly is not None and objective.poly[0] == 4 and len(rows) <= 2:
-        start = sum(objective.contribution(row) for row in rows)
-        if start * start > EARLY_STOP_VALUE:
-            return _rank2_lp(rows, objective)
+        return _rank2_lp(rows, objective)
     return _hjw_search(rows, objective, config)

@@ -236,10 +236,13 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     :func:`pure_three_tangle` for m = 3, and for m >= 4 the leaf that
     recurses through :func:`_hierarchy`, where non-convergence of any
     nested roof marks the returned result as not converged.  An m = 3
-    reduction of rank <= 2 -- every level-3 term at n = 4, and every
-    level-3 term inside an m = 4 leaf -- is solved there as a linear
-    program (method "rank2_lp") unless its eigen-rows are a certified
-    zero; the others run the HJW search under `config` (method "roof").
+    reduction of rank <= 2 -- every level-3 term at n = 4 and of a W-class
+    state, and every level-3 term inside an m = 4 leaf -- is solved there
+    as a linear program (method "rank2_lp"); the others run the HJW search
+    under `config` (method "roof").  An m = 3 value is an attained upper
+    bound on its roof.  An m >= 4 value is an upper bound only on the roof
+    of the computed leaf, which subtracts inner roofs that are upper bounds
+    themselves and so lies below the true leaf; it bounds no true roof.
     """
     kept = tuple(sorted((fpos,) + partners))
     positions = tuple(p - 1 for p in kept)

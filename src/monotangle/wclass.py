@@ -25,6 +25,7 @@ from .qstate import (
     as_subset,
     check_labels_in_range,
     check_num_qubits,
+    complex_from_json,
 )
 from .tangle import TangleValue
 
@@ -167,10 +168,12 @@ def params_to_dict(params: WClassParams) -> dict:
 
 
 def params_from_dict(data: dict) -> WClassParams:
+    """Read coefficients {"a": [re, im], "b": [[re, im], ...]}: every entry
+    exactly two numbers (no booleans); keys beyond the two are ignored."""
     try:
-        a = complex(data["a"][0], data["a"][1])
-        b = np.array([complex(re, im) for re, im in data["b"]],
+        a = complex_from_json(data["a"])
+        b = np.array([complex_from_json(pair) for pair in data["b"]],
                      dtype=np.complex128)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed W-class coefficient record: {exc}") from exc
     return WClassParams(a, b)

@@ -98,6 +98,19 @@ NORM_BOUNDARY_EXCESSES = tuple(
     for tol in (NORM_TOL, TRACE_TOL) for k in (5, 6, 7) for sign in (1.0, -1.0))
 
 
+def count_calls(monkeypatch, module, names) -> list:
+    """Wrap each named function of `module` so that every call appends its
+    name to the returned log."""
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def scaled_state_record(amps: np.ndarray, excess: float) -> dict:
     """State-file record of `amps` scaled to <psi|psi> = 1 + excess."""
     amps = amps * math.sqrt(1.0 + excess)

@@ -165,6 +165,15 @@ class TestTangle:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
 
+    def test_fractional_qubit_count_is_input_error(self, runner, tmp_path):
+        # int() would read 2.5 as 2; the schema's integer rejects it
+        state_file = tmp_path / "bad.json"
+        state_file.write_text(json.dumps(
+            {"num_qubits": 2.5, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+        result = invoke(runner, ["tangle", str(state_file)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: malformed state record")
+
     def test_uncapped_modes_ignore_the_cap_variable(self, runner, tmp_path,
                                                    monkeypatch, w3):
         # reduction mode evaluates no hierarchy, so it never reads the cap

@@ -26,6 +26,7 @@ from monotangle.wclass import (
     wclass_random,
     wclass_state,
 )
+from .conftest import count_calls
 from .test_acceptance import C1_CFG
 
 CFG = RoofConfig(seed=17)
@@ -86,7 +87,7 @@ class TestSmResidual:
             assert t.method == "closed_form"
         for t in three_terms:
             assert t.value <= 1e-6
-            assert t.method == "roof"
+            assert t.method == "rank2_lp"
             assert t.converged
         assert abs(report.sm_residual) <= 1e-6
         assert report.saturated_sm
@@ -202,27 +203,26 @@ class TestVerifySaturation:
 
     def test_roofs_stop_at_the_eigen_ensemble(self, monkeypatch):
         # every member of a W-class reduction has zero m-tangle, so each
-        # roof is a certified zero on the eigen-rows of restart 0 and no
-        # pair step runs; this is what keeps criterion 1 fast
-        steps = []
-        pair_step = roof._pair_step
-
-        def counted(*args):
-            steps.append(args[3:5])
-            return pair_step(*args)
-
-        monkeypatch.setattr(roof, "_pair_step", counted)
-        params = [wclass_random(n, 500 + n) for n in (4, 5, 6)]
-        params += [w_state_params(5), w_state_params(6)]
+        # roof is a certified zero on its eigen-rows: a level-3 term ends
+        # at the start basis of the rank-2 LP, an m >= 4 term at restart 0
+        # of the search, and neither a pair step nor an LP pivot runs.
+        # n = 7 reaches level-6 terms, which criterion 1 (n <= 6) does not.
+        calls = count_calls(monkeypatch, roof, ("_pair_step", "_simplex"))
+        params = [wclass_random(n, 500 + n) for n in (4, 5, 6, 7)]
+        params += [w_state_params(5), w_state_params(6), w_state_params(7)]
         for p in params:
             report = verify_saturation(p, C1_CFG)
             roofs = [t for t in report.terms if t.m >= 3]
             assert roofs
+            assert max(t.m for t in roofs) == len(p.b) - 1
             for term in roofs:
-                assert term.restarts_used == 1
+                if term.m == 3:
+                    assert (term.method, term.restarts_used) == ("rank2_lp", 0)
+                else:
+                    assert (term.method, term.restarts_used) == ("roof", 1)
                 assert term.converged
                 assert term.value <= EARLY_STOP_VALUE
-        assert steps == []
+        assert calls == []
 
 
 class TestSweepFoci:

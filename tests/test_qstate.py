@@ -1,6 +1,8 @@
 import json
+from importlib import resources
 from itertools import combinations
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -319,6 +321,24 @@ class TestSerialization:
             state_from_dict({"num_qubits": 2, "amplitudes": [[1, 0]]})
         with pytest.raises(InputError):
             state_from_dict({"amplitudes": []})
+        # records the schema rejects are not read as int() or complex()
+        # would read them; an integral float is an integer in draft-07
+        amps = [[1, 0], [0, 0], [0, 0], [0, 0]]
+        schema = json.loads((resources.files("monotangle") / "schemas"
+                             / "state.schema.json").read_text())
+        validator = jsonschema.Draft7Validator(schema)
+        for record in ({"num_qubits": 2.5, "amplitudes": amps},
+                       {"num_qubits": True, "amplitudes": amps},
+                       {"num_qubits": "2", "amplitudes": amps},
+                       {"num_qubits": 2, "amplitudes": [[True, 0]] + amps[1:]},
+                       {"num_qubits": 2, "amplitudes": [[1, 0, 9]] + amps[1:]}):
+            assert not validator.is_valid(record), record
+            with pytest.raises(InputError, match="malformed state record"):
+                state_from_dict(record)
+        for n in (2, 2.0):
+            record = {"num_qubits": n, "amplitudes": amps}
+            assert validator.is_valid(record)
+            assert state_from_dict(record).num_qubits == 2
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_file_rejected(self, tmp_path, token):

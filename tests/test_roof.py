@@ -36,7 +36,7 @@ from monotangle.tangle import (
     pure_three_tangle,
 )
 from monotangle.wclass import wclass_random, wclass_reduction, wclass_state
-from .conftest import ckw_three_tangle, members, random_mixed_2q
+from .conftest import ckw_three_tangle, count_calls, members, random_mixed_2q
 
 # mirrors the acceptance configuration for two-qubit roof searches
 CFG_2Q = RoofConfig(seed=7, restarts=4, padding=2, max_sweeps=40, tol=1e-8)
@@ -409,8 +409,11 @@ def dense_simplex(A, c, b, basis):
         ratios = np.full(len(x), np.inf)
         ratios[usable] = np.maximum(x[usable], 0.0) / direction[usable]
         step = ratios.min()
-        ties = np.flatnonzero(ratios == step)
-        leave = int(min(ties, key=lambda row: basis[row]) if bland else ties[0])
+        if bland:  # rows within _LP_STALL of the smallest ratio tie
+            ties = np.flatnonzero(ratios <= step + roof._LP_STALL)
+            leave = int(min(ties, key=lambda row: basis[row]))
+        else:
+            leave = int(np.argmin(ratios))
         bland = step <= roof._LP_STALL
         basis[leave] = enter
     else:
@@ -473,6 +476,24 @@ class TestRank2LinearProgram:
         assert result.value <= 1e-8
         assert_members_reproduce(rho, result)
 
+    @pytest.mark.parametrize("p", [0.64, 0.66, 0.68, 0.70, 0.72, 0.8, 0.9, 0.97])
+    def test_ghz_w_mixture_stays_below_the_tau_roof(self, p):
+        # one-sided: Lohmayer et al. give the roof of tau itself, while the
+        # term is [roof of sqrt(tau)]^2, which by Jensen lies at or below
+        # it, and above p0 far below (0.0034 against 0.0557 at p = 0.6487)
+        cbrt2 = 2.0 ** (1.0 / 3.0)
+        assert p > 4.0 * cbrt2 / (3.0 + 4.0 * cbrt2)
+        if p <= 0.5 + 3.0 * math.sqrt(465.0) / 310.0:
+            tau_roof = (p * p - 8.0 * math.sqrt(6.0) / 9.0
+                        * math.sqrt(p * (1.0 - p) ** 3))
+        else:
+            tau_roof = 1.0 - (1.0 - p) * (1.5 + math.sqrt(465.0) / 18.0)
+        rho = ghz_w_mixture(p)
+        result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
+        assert result.method == "rank2_lp"
+        assert result.value <= tau_roof + 1e-12
+        assert np.max(np.abs(density(result.best_rows) - rho.matrix)) <= 1e-12
+
     def test_never_above_the_search(self, monkeypatch):
         # on 20 Haar n = 4 states the LP is no worse than the HJW search at
         # the benchmark budget, and it runs no pair step
@@ -511,15 +532,25 @@ class TestRank2LinearProgram:
             pure_three_tangle(state.amplitudes), abs=1e-12)
         assert len(result.best_rows) == 1
 
-    def test_certified_zero_stays_on_the_search(self, w3):
-        # W-class reductions: the eigen-rows are a certified zero, which
-        # keeps criterion 1's reports unchanged
+    def test_certified_zero_ends_at_the_lp_start(self, monkeypatch):
+        # W-class reductions: the eigen-rows are a certified zero, and they
+        # are the LP's start basis, so neither a pivot nor a search runs
+        calls = count_calls(monkeypatch, roof,
+                            ("_hjw_search", "hjw_mix", "_simplex"))
         params = wclass_random(4, 77)
         rho = reduce_pure_state(wclass_state(params), (1, 2, 3))
+        assert len(canonical_ensemble(rho)) == 2
         result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
-        assert result.method == "roof"
-        assert result.restarts_used == 1
+        assert result.method == "rank2_lp"
+        assert result.restarts_used == 0
+        assert result.converged
         assert result.value <= roof.EARLY_STOP_VALUE
+        assert np.max(np.abs(density(result.best_rows) - rho.matrix)) <= 1e-12
+        assert calls == []
+        # the counters see a rank-2 roof that is not a zero
+        m_tangle_mixed(ghz_w_mixture(0.9), 1, (2, 3), pure_three_tangle,
+                       RoofConfig())
+        assert "_simplex" in calls
 
     def test_two_qubit_roofs_stay_on_the_search(self):
         rho = random_mixed_2q(1)
@@ -547,7 +578,9 @@ class TestRank2LinearProgram:
         assert c[basis] @ x == pytest.approx(-0.05, abs=1e-12)
         assert np.all(x >= -1e-12)
 
-    @pytest.mark.parametrize("seed", range(50))
+    # seed 575 has ratio ties that differ by rounding: Bland's rule must
+    # treat them as ties, or the reference cycles to its pivot cap
+    @pytest.mark.parametrize("seed", [*range(50), 575])
     def test_simplex_matches_a_fresh_inverse_every_pivot(self, seed):
         A, c, b, start = random_feasible_lp(seed)
         basis, dense_basis = list(start), list(start)

@@ -224,3 +224,12 @@ class TestParamsSerialization:
     def test_malformed(self):
         with pytest.raises(InputError):
             params_from_dict({"a": [1.0], "b": []})
+        # each entry is exactly two numbers, never read loosely by complex()
+        b = [[0.6, 0], [0.8, 0]]
+        for record in ({"a": [0, 0, 9], "b": b},
+                       {"a": [True, 0], "b": b},
+                       {"a": [0, 0], "b": [[0.6, False], [0.8, 0]]},
+                       {"a": [0, 0], "b": [["0.6", 0], [0.8, 0]]}):
+            with pytest.raises(InputError, match="malformed W-class"):
+                params_from_dict(record)
+        assert params_from_dict({"a": [0, 0], "b": b}).b[1] == pytest.approx(0.8)
