@@ -35,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .monogamy import (
-    DEFAULT_MAX_SM_QUBITS,
     DEFAULT_TOL_CLOSED,
     DEFAULT_TOL_ROOF,
     check_tolerance,
@@ -62,17 +61,18 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 _MAX_QUBITS_ENV = "MONOTANGLE_MAX_QUBITS"
+_DEFAULT_MAX_QUBITS = 7   # full SM evaluation cost grows combinatorially
 
 
-def _qubit_cap(n: int) -> int:
-    """The SM qubit cap, checked against an n-qubit hierarchy.
+def _qubit_cap(n: int) -> None:
+    """Reject an n-qubit hierarchy above the qubit cap.
 
     Read only where a hierarchy is capped, so that commands and modes that
     apply no cap never fail on the variable.
     """
     raw = os.environ.get(_MAX_QUBITS_ENV)
     if raw is None:
-        cap = DEFAULT_MAX_SM_QUBITS
+        cap = _DEFAULT_MAX_QUBITS
     else:
         try:
             cap = int(raw)
@@ -82,15 +82,14 @@ def _qubit_cap(n: int) -> int:
     if n > cap:
         raise InputError(f"{n} qubits exceeds the cap of {cap}; set "
                          f"{_MAX_QUBITS_ENV} to override")
-    return cap
 
 
-def _manifest(seed: int, config: RoofConfig, input_path=None, output_path=None):
+def _manifest(config: RoofConfig, input_path=None, output_path=None):
     return {
         "tool": "monotangle",
         "version": __version__,
         "command": shlex.join(sys.argv[1:]),
-        "seed": int(seed),
+        "seed": config.seed,
         "roof_config": config.to_json_dict(),
         "input": str(input_path) if input_path else None,
         "output": str(output_path) if output_path else None,
@@ -236,7 +235,7 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
         n = state.num_qubits
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         payload = {
-            "manifest": _manifest(seed, config, state_file, out),
+            "manifest": _manifest(config, state_file, out),
             "focus": focus,
             "num_qubits": n,
         }
@@ -248,6 +247,8 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             payload["converged"] = term.converged
             _summary(f"{_level_name(term.m)} {list(term.partners)}: "
                      f"{_sci(term.value)}")
+        elif n < 2:
+            raise InputError("tangle hierarchy needs at least 2 qubits")
         elif n == 2:
             tau = one_tangle(state, focus).value
             payload["mode"] = "hierarchy"
@@ -257,8 +258,8 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             payload["converged"] = True
             _summary(f"two-tangle: {_sci(tau)}")
         else:
-            report = sm_residual(state, focus, config,
-                                 max_qubits=_qubit_cap(n))
+            _qubit_cap(n)
+            report = sm_residual(state, focus, config)
             payload["mode"] = "hierarchy"
             payload["one_tangle"] = report.one_tangle
             payload["terms"] = [t.to_json_dict() for t in report.terms]
@@ -288,9 +289,8 @@ def cmd_ckw_check(state_file, focus, tol_closed, out):
         check_tolerance("tol_closed", tol_closed)
         state = load_state(state_file)
         residual = ckw_residual(state, focus)
-        config = RoofConfig()
         payload = {
-            "manifest": _manifest(0, config, state_file, out),
+            "manifest": _manifest(RoofConfig(), state_file, out),
             "focus": focus,
             "num_qubits": state.num_qubits,
             "one_tangle": one_tangle(state, focus).value,
@@ -336,17 +336,16 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
             source = state_file
         else:
             raise InputError("need a STATE_FILE argument or --wclass")
-        cap = _qubit_cap(state.num_qubits)
+        _qubit_cap(state.num_qubits)
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
-        kwargs = dict(tol_closed=tol_closed, tol_roof=tol_roof,
-                      max_qubits=cap)
+        kwargs = dict(tol_closed=tol_closed, tol_roof=tol_roof)
         if sweep_foci_:
             reports = sweep_foci(state, config, **kwargs)
         else:
             reports = [sm_residual(state, focus, config, **kwargs)]
         payload = {
             "manifest": _manifest(
-                seed, config, None if use_wclass else state_file, out),
+                config, None if use_wclass else state_file, out),
             "source": source,
             "reports": [r.to_json_dict() for r in reports],
         }
@@ -371,7 +370,7 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
 # batch
 
 
-def _parse_n_range(raw: str) -> list[int]:
+def _parse_n_range(raw: str) -> range:
     raw = raw.strip()
     if ".." in raw:
         lo_s, hi_s = raw.split("..", 1)
@@ -383,7 +382,7 @@ def _parse_n_range(raw: str) -> list[int]:
         raise InputError(f"bad qubit range {raw!r}; use N or LO..HI") from exc
     if lo > hi:
         raise InputError(f"empty qubit range {raw!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _sample_seed(global_seed: int, n: int, index: int) -> int:
@@ -396,12 +395,11 @@ def _batch_block(block: tuple) -> list[list]:
 
     `block` is `(keys, settings)`: `keys` lists the block's `(n, index)`
     samples, and `settings`, shared by every row and sent once per block,
-    is `(family, global_seed, config, cap, tol_closed, tol_roof, timing)`.
+    is `(family, global_seed, config, tol_closed, tol_roof, timing)`.
     Each sample's seed is derived here, so that a pool worker rather than
     the parent spends the `SeedSequence` work.
     """
-    keys, (family, global_seed, config, cap, tol_closed, tol_roof,
-           timing) = block
+    keys, (family, global_seed, config, tol_closed, tol_roof, timing) = block
     rows = []
     for n, index in keys:
         sample_seed = _sample_seed(global_seed, n, index)
@@ -410,8 +408,8 @@ def _batch_block(block: tuple) -> list[list]:
         else:
             state = haar_random_state(n, sample_seed)
         t0 = time.perf_counter()
-        report = sm_residual(state, 1, config, max_qubits=cap,
-                             tol_closed=tol_closed, tol_roof=tol_roof)
+        report = sm_residual(state, 1, config, tol_closed=tol_closed,
+                             tol_roof=tol_roof)
         elapsed_ms = 1e3 * (time.perf_counter() - t0)
         runtime = int(round(elapsed_ms)) if timing else 0
         rows.append([n, index, sample_seed,
@@ -447,13 +445,13 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
         ns = _parse_n_range(n_range)
         if ns[0] < 3:
             raise InputError("batch families need n >= 3")
-        cap = _qubit_cap(ns[-1])
+        _qubit_cap(ns[-1])
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         keys = [(n, i) for n in ns for i in range(samples)]
         # strided blocks: each block mixes every n of the range, so their
         # costs stay level; one block (no pool) when jobs == 1
         blocks = min(len(keys), 4 * jobs) if jobs > 1 else 1
-        settings = (family, seed, config, cap, tol_closed, tol_roof, timing)
+        settings = (family, seed, config, tol_closed, tol_roof, timing)
         work = [(keys[k::blocks], settings) for k in range(blocks)]
         t0 = time.perf_counter()
         if blocks > 1:

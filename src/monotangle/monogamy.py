@@ -24,7 +24,6 @@ from .roof import RoofConfig
 from .tangle import TermRecord, _fold, _state_hierarchy
 from .wclass import WClassParams, wclass_state
 
-DEFAULT_MAX_SM_QUBITS = 7   # full SM evaluation cost grows combinatorially
 DEFAULT_TOL_CLOSED = 1e-9   # verdict tolerance for closed-form arithmetic
 DEFAULT_TOL_ROOF = 1e-6     # verdict tolerance where roof searches enter
 
@@ -87,24 +86,21 @@ def ckw_residual(state: StateVector, focus: int = 1) -> float:
 
 def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
                 tol_closed: float = DEFAULT_TOL_CLOSED,
-                tol_roof: float = DEFAULT_TOL_ROOF,
-                max_qubits: int | None = DEFAULT_MAX_SM_QUBITS) -> MonogamyReport:
+                tol_roof: float = DEFAULT_TOL_ROOF) -> MonogamyReport:
     """Full strong-monogamy evaluation of a pure state with hub `focus`.
 
     Level-2 terms use the concurrence closed form; levels m >= 3 run the
     convex-roof search under `config`.  Roof non-convergence flags the
     report but the residual is still assembled from the best values found.
-    The residual equals the recursive n-tangle of the state.
+    The residual equals the recursive n-tangle of the state.  Every state
+    that :mod:`monotangle.qstate` holds is evaluated; the cost grows
+    combinatorially with n, and only the CLI caps n.
     """
     check_tolerance("tol_closed", tol_closed)
     check_tolerance("tol_roof", tol_roof)
     n = state.num_qubits
     if n < 3:
         raise InputError("SM evaluation needs at least 3 qubits")
-    if max_qubits is not None and n > max_qubits:
-        raise InputError(
-            f"{n} qubits exceeds the configured SM cap of {max_qubits}"
-        )
     one_t, terms = _state_hierarchy(state, focus, config)
     roofs = [t.roof for t in terms if t.roof is not None]
     sm = _fold(one_t, terms)

@@ -69,6 +69,7 @@ def w_state_params(n: int) -> WClassParams:
     """Coefficients of the n-qubit W state: a = 0, b_j = 1/sqrt(n)."""
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
+    check_num_qubits(n)
     return WClassParams(0.0, np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128))
 
 
@@ -95,6 +96,9 @@ def wclass_random(n: int, seed: int) -> WClassParams:
     """
     if n < 2:
         raise InputError(f"need n >= 2, got {n}")
+    check_num_qubits(n)
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(n + 1))
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n + 1))

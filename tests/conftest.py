@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def count_calls(monkeypatch, module, names) -> list:
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced Python allocation, in MB, while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def scaled_state_record(amps: np.ndarray, excess: float) -> dict:

@@ -16,7 +16,7 @@ from monotangle.monogamy import MonogamyReport
 from monotangle.qstate import haar_random_state, load_state, save_state
 from monotangle.wclass import w_state_params, wclass_state
 
-from .conftest import scaled_state_record
+from .conftest import scaled_state_record, traced_peak_mb
 
 
 def _schema_registry():
@@ -209,6 +209,15 @@ class TestTangle:
         assert payload["term"]["value"] == pytest.approx(1.0070980784e-2,
                                                          abs=1e-6)
 
+    def test_one_qubit_hierarchy_is_input_error(self, runner, tmp_path):
+        state_file = tmp_path / "one.json"
+        state_file.write_text(json.dumps(
+            {"num_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}))
+        result = invoke(runner, ["tangle", str(state_file)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: tangle hierarchy needs at least "
+                                 "2 qubits\n")
+
 
 class TestCkwCheck:
     def test_ghz3(self, runner, tmp_path, ghz3):
@@ -231,6 +240,16 @@ class TestCkwCheck:
                                  "--tol-closed", tol])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: tol_closed must be finite")
+
+    def test_violation_exit_3(self, runner, tmp_path, monkeypatch, w3):
+        state_file = tmp_path / "w3.json"
+        save_state(w3, state_file)
+        monkeypatch.setattr(cli, "ckw_residual", lambda *a, **k: -0.5)
+        result = invoke(runner, ["ckw-check", str(state_file),
+                                 "--out", str(tmp_path / "ckw.json")])
+        assert result.exit_code == 3
+        assert result.stderr.splitlines()[-1] == (
+            "CKW residual is negative beyond tolerance: violation candidate")
 
 
 class TestSmCheck:
@@ -510,6 +529,39 @@ class TestBatch:
         result = invoke(runner, ["batch", "--family", "wclass", "--n", "x..y",
                                  "--samples", "1"])
         assert result.exit_code == 2
+
+    def test_capped_range_is_rejected_before_allocation(self, runner):
+        def rejected():
+            result = invoke(runner, ["batch", "--family", "haar", "--n",
+                                     "3..1000000", "--samples", "1"])
+            assert result.exit_code == 2
+            assert result.stderr.startswith("error: 1000000 qubits exceeds")
+
+        assert traced_peak_mb(rejected) < 1.0
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["wclass-gen", "--n", "3", "--seed", "-1"],
+                 "seed must be nonnegative", id="wclass-gen-negative-seed"),
+    pytest.param(["sm-check", "--wclass", "--n", "3", "--seed", "-1"],
+                 "seed must be nonnegative", id="sm-check-negative-seed"),
+    pytest.param(["wclass-gen", "--coeffs", "{tmp}/missing.json"],
+                 "cannot read coefficient file", id="unreadable-coeffs"),
+    pytest.param(["wclass-gen", "--n", "3"],
+                 "need one of --w, --seed, or --coeffs", id="n-alone"),
+    pytest.param(["tangle", "{tmp}/w3.json", "--partners", "2,x"],
+                 "bad partner list", id="non-integer-partner"),
+    pytest.param(["batch", "--family", "haar", "--n", "5..3",
+                  "--samples", "1"], "empty qubit range", id="empty-range"),
+    pytest.param(["batch", "--family", "haar", "--n", "2", "--samples", "1"],
+                 "batch families need n >= 3", id="batch-two-qubits"),
+])
+def test_input_errors_exit_2(runner, tmp_path, w3, args, message):
+    save_state(w3, tmp_path / "w3.json")
+    args = [arg.format(tmp=tmp_path) for arg in args]
+    result = invoke(runner, args + ["--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error: {message}")
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import combinations
 
@@ -165,10 +166,14 @@ class TestSmResidual:
         with pytest.raises(InputError, match="must be finite and >= 0"):
             sm_residual(w3, 1, CFG, **tols)
 
-    def test_qubit_cap_enforced(self):
-        state = wclass_state(wclass_random(8, 5))
-        with pytest.raises(InputError):
-            sm_residual(state, 1, CFG)
+    def test_eight_qubits_evaluated(self):
+        # the qubit cap is the CLI's; the library takes any state it holds
+        report = sm_residual(ket_from_basis_terms(8, [("0" * 8, 1.0)]), 1,
+                             CFG)
+        assert len(report.terms) == 2 ** 7 - 2
+        assert max(t.m for t in report.terms) == 7
+        assert abs(report.sm_residual) <= 1e-12
+        assert report.saturated_sm
 
     def test_focus_other_than_hub(self):
         # W states are symmetric: every hub choice saturates
@@ -223,6 +228,20 @@ class TestVerifySaturation:
                 assert term.converged
                 assert term.value <= EARLY_STOP_VALUE
         assert calls == []
+
+    def test_nested_non_convergence_marks_the_term(self, monkeypatch):
+        # an m = 4 term is unconverged when a nested level-3 roof is
+        lp = roof._rank2_lp
+        monkeypatch.setattr(
+            roof, "_rank2_lp", lambda *args: dataclasses.replace(
+                lp(*args), converged=False))
+        report = verify_saturation(w_state_params(5), RoofConfig())
+        level4 = [t for t in report.terms if t.m == 4]
+        assert len(level4) == 4
+        for term in level4:
+            assert term.method == "roof"
+            assert term.converged is False
+        assert report.converged is False
 
 
 class TestSweepFoci:

@@ -16,7 +16,7 @@ from monotangle.wclass import (
     wclass_two_tangle,
 )
 
-from .conftest import NORM_BOUNDARY_EXCESSES
+from .conftest import NORM_BOUNDARY_EXCESSES, traced_peak_mb
 
 
 class TestWClassState:
@@ -93,6 +93,16 @@ class TestWClassRandom:
     def test_small_n_rejected(self):
         with pytest.raises(InputError):
             wclass_random(1, 0)
+
+    @pytest.mark.parametrize("build", [lambda: wclass_random(10**6, 0),
+                                       lambda: w_state_params(10**6)],
+                             ids=["wclass_random", "w_state_params"])
+    def test_qubit_count_checked_before_allocation(self, build):
+        def rejected():
+            with pytest.raises(InputError, match="num_qubits must be in"):
+                build()
+
+        assert traced_peak_mb(rejected) < 1.0
 
 
 class TestClosedForms:
