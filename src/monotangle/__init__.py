@@ -24,7 +24,6 @@ from .qstate import (
 from .roof import (
     RoofConfig,
     RoofResult,
-    canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TermRecord",
     "WClassParams",
     "WClassReduction",
-    "canonical_ensemble",
     "ckw_residual",
     "concurrence_2q",
     "density_from_pure",

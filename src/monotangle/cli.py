@@ -13,9 +13,9 @@ carries duration_ms as null.
 
 `batch --jobs J` (J > 1) deals its samples into min(rows, 4 J) strided
 blocks, block k holding samples k, k + blocks, ..., and sends each block to
-a pool of min(J, blocks) workers as one task; the rows are put back in
-sample order, so the CSV equals the `--jobs 1` one byte for byte.  One block
-runs in-process, with no pool.
+a pool of min(J, blocks, available CPUs) workers as one task; the rows are
+put back in sample order, so the CSV equals the `--jobs 1` one byte for
+byte.  One block runs in-process, with no pool.
 """
 
 from __future__ import annotations
@@ -240,8 +240,10 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             "num_qubits": n,
         }
         if partners is not None:
-            term = mixed_tangle_term(state, focus, _parse_partners(partners),
-                                     config)
+            labels = _parse_partners(partners)
+            if len(labels) >= 3:  # a level-m >= 4 leaf is an m-qubit hierarchy
+                _qubit_cap(len(labels) + 1)
+            term = mixed_tangle_term(state, focus, labels, config)
             payload["mode"] = "reduction"
             payload["term"] = term.to_json_dict()
             payload["converged"] = term.converged
@@ -423,7 +425,8 @@ def _batch_block(block: tuple) -> list[list]:
 @click.option("--n", "n_range", type=str, required=True,
               help="Qubit count or range, e.g. 4 or 3..5.")
 @click.option("--samples", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Workers (at most the CPUs); rows go in 4 x JOBS blocks.")
 @click.option("--timing/--no-timing", default=False, show_default=True,
               help="Record wall-clock runtime_ms per row "
                    "(breaks byte-for-byte reproducibility).")
@@ -455,7 +458,9 @@ def cmd_batch(family, n_range, samples, jobs, timing, seed, restarts, padding,
         work = [(keys[k::blocks], settings) for k in range(blocks)]
         t0 = time.perf_counter()
         if blocks > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, blocks)) as pool:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=min(jobs, blocks, cpus)) as pool:
                 results = list(pool.map(_batch_block, work))
         else:
             results = [_batch_block(work[0])]

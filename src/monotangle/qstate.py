@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,10 +128,15 @@ def check_labels_in_range(subset: QubitSubset, num_qubits: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Unit-trace Hermitian PSD operator on an ordered set of qubit labels."""
+    """Unit-trace Hermitian PSD operator on an ordered set of qubit labels.
+
+    `eigen_rows` (read-only) comes from the eigh of the PSD check: rows R,
+    row h = sqrt(p_h) psi_h with p_h decreasing and > PROB_FLOOR; R^T R* = matrix.
+    """
 
     qubit_labels: tuple[int, ...]
     matrix: np.ndarray
+    eigen_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labels = tuple(int(x) for x in self.qubit_labels)
@@ -142,7 +147,7 @@ class DensityOperator:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise InputError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
-        # NaN slips through the tolerance checks below, inf breaks eigvalsh
+        # NaN slips through the tolerance checks below, inf breaks eigh
         if not np.isfinite(mat).all():
             raise InvalidStateError("matrix entries must be finite (no NaN or inf)")
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
@@ -150,9 +155,14 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InputError(f"trace must be 1, got {trace!r}")
-        if float(np.linalg.eigvalsh(mat)[0]) < -PSD_TOL:
+        evals, evecs = np.linalg.eigh(mat)
+        if float(evals[0]) < -PSD_TOL:
             raise InputError("matrix has a significantly negative eigenvalue")
+        keep = evals[::-1] > PROB_FLOOR
+        rows = np.sqrt(evals[::-1][keep])[:, None] * evecs[:, ::-1][:, keep].T
+        rows.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigen_rows", rows)
 
     @property
     def num_qubits(self) -> int:

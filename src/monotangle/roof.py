@@ -5,8 +5,8 @@ sum_h p_h sqrt(tau(psi_h))]^2.  A decomposition is one complex array of
 rows, the scaled members sqrt(p_h) psi_h: p_h is the squared norm of row
 h, and zero rows are members with p_h = 0.  By Hughston, Jozsa & Wootters
 (Phys. Lett. A 183, 14, 1993) every size-R decomposition of rho is an
-R x R unitary times the eigen-rows (:func:`canonical_ensemble`, padded with
-zero rows; :func:`hjw_mix`), so the search space is the unitary group.
+R x R unitary times the eigen-rows (`DensityOperator.eigen_rows`, padded
+with zero rows; :func:`hjw_mix`), so the search space is the unitary group.
 Each start mixes the eigen-rows once; from there the search state is the
 rows themselves and their contributions, walked by successive two-row
 Givens rotations, and the result carries the best rows found.
@@ -142,26 +142,13 @@ class RoofResult:
     method: str
 
 
-def canonical_ensemble(rho: DensityOperator) -> np.ndarray:
-    """Eigen-decomposition of rho as the reference (HJW anchor) rows.
-
-    Row h is sqrt(p_h) psi_h for the eigenpair (p_h, psi_h), ordered by
-    decreasing p_h; eigenvalues at or below PROB_FLOOR are dropped.  The
-    rows R satisfy rho = R^T R*.
-    """
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    evals = evals[::-1]
-    keep = evals > PROB_FLOOR
-    return np.sqrt(evals[keep])[:, None] * evecs[:, ::-1][:, keep].T
-
-
 def hjw_mix(rows: np.ndarray, mixing: np.ndarray) -> np.ndarray:
     """Mix decomposition rows through an R x R unitary (R >= row count).
 
-    The rows, zero-padded to R, are combined as phi_h = sum_l u_hl row_l.
-    Every row is a member: row h has probability |phi_h|^2 (zero rows are
-    members with p = 0), and the mixed rows reconstruct the same density
-    operator.
+    The rows (the anchor is `DensityOperator.eigen_rows`), zero-padded to
+    R, are combined as phi_h = sum_l u_hl row_l.  Every row is a member:
+    row h has probability |phi_h|^2 (zero rows are members with p = 0),
+    and the mixed rows reconstruct the same density operator.
     """
     mixing = np.asarray(mixing, dtype=np.complex128)
     if mixing.ndim != 2 or mixing.shape[0] != mixing.shape[1]:
@@ -707,10 +694,10 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     config : RoofConfig
         Search budget; identical configs give bit-identical results.
 
-    Under the degree-4 leaf (every m = 3 term), a rho of rank <= 2 is
-    solved by the linear program of :func:`_rank2_lp` (method "rank2_lp");
-    `config` does not apply there.  Every other roof is the HJW search of
-    :func:`_hjw_search` (method "roof").
+    Both routes start from `rho.eigen_rows`.  Under the degree-4 leaf
+    (every m = 3 term), a rho of rank <= 2 is solved by the linear program
+    of :func:`_rank2_lp` (method "rank2_lp"), where `config` does not
+    apply; every other roof is the HJW search :func:`_hjw_search` ("roof").
     """
     partners = as_subset(partners)
     expected = tuple(sorted((focus,) + partners.labels))
@@ -718,7 +705,7 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
         raise InputError(
             f"rho acts on {rho.qubit_labels}, expected {expected}"
         )
-    rows = canonical_ensemble(rho)
+    rows = rho.eigen_rows
     objective = _Objective(pure_functional)
     if objective.poly is not None and objective.poly[0] == 4 and len(rows) <= 2:
         return _rank2_lp(rows, objective)

@@ -36,8 +36,7 @@ from .qstate import (
     as_subset,
     check_labels_in_range,
 )
-from .roof import RoofResult, canonical_ensemble
-from .roof import m_tangle_mixed as _roof_minimize
+from .roof import RoofResult, m_tangle_mixed as _roof_minimize
 
 # sy x sy is antidiagonal with entries (-1, 1, 1, -1), so (sy x sy) v is
 # these signs times v reversed; fixed convention for concurrence
@@ -110,15 +109,15 @@ def _concurrence_matrix(f: np.ndarray) -> float:
 def concurrence_2q(rho) -> float:
     """Concurrence of a two-qubit state (Wootters, PRL 80, 2245, 1998).
 
-    Read from the factor whose columns are the eigen-rows of
-    :func:`monotangle.roof.canonical_ensemble` -- the decomposition the
-    roof search starts from, with weights at or below PROB_FLOOR dropped.
+    Read from the factor whose columns are `rho.eigen_rows` -- the
+    eigen-decomposition that validated rho and that the roof search starts
+    from, with weights at or below PROB_FLOOR dropped.
     """
     if rho.num_qubits != 2:
         raise InputError(
             f"concurrence needs a 2-qubit operator, got {rho.num_qubits} qubits"
         )
-    return _concurrence_matrix(canonical_ensemble(rho).T)
+    return _concurrence_matrix(rho.eigen_rows.T)
 
 
 def two_tangle(rho) -> TangleValue:
@@ -230,8 +229,8 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
 
     Returns the term's record.  For m = 2 the concurrence closed form,
     taken from the pure-state factor of the reduction, is exact and the
-    record's roof is None.  For m >= 3 the roof entry point
-    :func:`monotangle.roof.m_tangle_mixed` evaluates each decomposition
+    record's roof is None.  For m >= 3 :func:`monotangle.roof.m_tangle_mixed`,
+    from the eigen-rows of the reduction's DensityOperator, evaluates each
     member with a pure m-tangle leaf: the hyperdeterminant
     :func:`pure_three_tangle` for m = 3, and for m >= 4 the leaf that
     recurses through :func:`_hierarchy`, where non-convergence of any

@@ -13,7 +13,7 @@ import pytest
 
 from monotangle.monogamy import max_m3plus_term, sm_residual, verify_saturation
 from monotangle.qstate import haar_random_state, reduce_pure_state
-from monotangle.roof import RoofConfig, _random_unitary, canonical_ensemble, hjw_mix
+from monotangle.roof import RoofConfig, _random_unitary, hjw_mix
 from monotangle.tangle import (
     concurrence_2q,
     n_tangle_pure,
@@ -246,7 +246,7 @@ def test_c8_decomposition_independence(w3):
     """Criterion 8: the ensemble objective of the symmetric three-qubit
     state's pair reduction is 2/3 for every decomposition."""
     rho = reduce_pure_state(w3, (1, 2))
-    rows = canonical_ensemble(rho)
+    rows = rho.eigen_rows
     rng = np.random.default_rng(88)
     worst = 0.0
     for _ in range(100):

@@ -48,6 +48,29 @@ def invoke(runner, args, **kwargs):
     return runner.invoke(cli.main, args, catch_exceptions=False, **kwargs)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool `batch` makes; the fake pool maps
+    in-process, so no process starts."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
 class TestWclassGen:
     def test_w_state_file_and_echo(self, runner, tmp_path):
         out = tmp_path / "w3.json"
@@ -176,7 +199,8 @@ class TestTangle:
 
     def test_uncapped_modes_ignore_the_cap_variable(self, runner, tmp_path,
                                                    monkeypatch, w3):
-        # reduction mode evaluates no hierarchy, so it never reads the cap
+        # a reduction with m <= 3 evaluates no hierarchy, so it never reads
+        # the cap
         state_file = tmp_path / "w3.json"
         save_state(w3, state_file)
         monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", "abc")
@@ -185,6 +209,18 @@ class TestTangle:
         result = invoke(runner, ["tangle", str(state_file)])
         assert result.exit_code == 2
         assert "MONOTANGLE_MAX_QUBITS must be an integer" in result.stderr
+
+    def test_level4_reduction_reads_the_cap(self, runner, tmp_path,
+                                           monkeypatch):
+        # each member of a level-4 roof is a 4-qubit hierarchy
+        state_file = tmp_path / "w5.json"
+        save_state(wclass_state(w_state_params(5)), state_file)
+        monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", "3")
+        result = invoke(runner, ["tangle", str(state_file),
+                                 "--partners", "2,3,4"])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: 4 qubits exceeds the cap of 3; set "
+                                 "MONOTANGLE_MAX_QUBITS to override\n")
 
     def test_malformed_state_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -458,31 +494,30 @@ class TestBatch:
         assert done.stdout == serial.read_bytes()
         assert done.stdout.count(b"\n") == 2001
 
-    def test_pool_only_for_blocks(self, runner, monkeypatch):
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_only_for_blocks(self, runner, monkeypatch, pool_sizes):
+        # pin the CPU count so that jobs and blocks bound the pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         base = ["batch", "--family", "haar", "--n", "3", "--seed", "4"]
         result = invoke(runner, base + ["--samples", "1", "--jobs", "2"])
         assert result.exit_code == 0
-        assert made == []
+        assert pool_sizes == []
         result = invoke(runner, base + ["--samples", "3", "--jobs", "8"])
         assert result.exit_code == 0
-        assert made == [3]
+        assert pool_sizes == [3]
         assert len(result.stdout.splitlines()) == 1 + 3
+
+    def test_pool_bounded_by_available_cpus(self, runner, pool_sizes):
+        base = ["batch", "--family", "haar", "--n", "3", "--samples", "64",
+                "--seed", "5"]
+        parallel = invoke(runner, base + ["--jobs", "64"])
+        serial = invoke(runner, base + ["--jobs", "1"])
+        assert parallel.exit_code == serial.exit_code == 0
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        assert len(pool_sizes) == 1 and pool_sizes[0] <= cpus
+        assert parallel.stdout == serial.stdout
 
     @pytest.mark.parametrize("flag, tol", [("--tol-roof", "-1"),
                                            ("--tol-closed", "nan")])
@@ -551,6 +586,9 @@ class TestBatch:
                  "need one of --w, --seed, or --coeffs", id="n-alone"),
     pytest.param(["tangle", "{tmp}/w3.json", "--partners", "2,x"],
                  "bad partner list", id="non-integer-partner"),
+    pytest.param(["tangle", "{tmp}/w3.json", "--partners", "5"],
+                 "labels (5,) exceed the state's 3 qubits",
+                 id="partner-beyond-state"),
     pytest.param(["batch", "--family", "haar", "--n", "5..3",
                   "--samples", "1"], "empty qubit range", id="empty-range"),
     pytest.param(["batch", "--family", "haar", "--n", "2", "--samples", "1"],

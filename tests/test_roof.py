@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from monotangle.roof import (
     _random_unitary,
     _scan_tables,
     _simplex,
-    canonical_ensemble,
     hjw_mix,
     m_tangle_mixed,
 )
@@ -68,32 +68,47 @@ def assert_members_reproduce(rho, result):
 
 class TestCanonicalEnsemble:
     def test_rank_one_projector(self, bell_state):
-        rows = canonical_ensemble(density_from_pure(bell_state))
+        rows = density_from_pure(bell_state).eigen_rows
         assert len(rows) == 1
         assert members(rows)[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_qubit(self):
         rho = DensityOperator((1,), np.eye(2, dtype=complex) / 2)
-        rows = canonical_ensemble(rho)
+        rows = rho.eigen_rows
         assert sorted(p for p, _ in members(rows)) == pytest.approx([0.5, 0.5])
 
     def test_w_pair_reduction_rank_two(self, w3):
         rho = reduce_pure_state(w3, (1, 2))
-        rows = canonical_ensemble(rho)
+        rows = rho.eigen_rows
         assert len(rows) == 2
         assert_allclose(density(rows), rho.matrix, atol=1e-9)
+
+    def test_rows_are_read_only(self, w3):
+        rho = reduce_pure_state(w3, (1, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            rho.eigen_rows[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.eigen_rows = np.zeros((1, 4))
+
+    def test_one_eigen_solve_per_operator(self, monkeypatch):
+        # the eigh of the PSD check gives the rows the roof starts from
+        calls = count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+        rho = reduce_pure_state(haar_random_state(4, 3), (1, 2, 3))
+        result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
+        assert result.method == "rank2_lp"
+        assert calls == ["eigh"]
 
 
 class TestHjwMix:
     def test_identity_keeps_ensemble(self, w3):
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         mixed = hjw_mix(rows, np.eye(len(rows)))
         probs = sorted(p for p, _ in members(mixed))
         assert probs == pytest.approx(sorted(p for p, _ in members(rows)))
         assert_allclose(density(mixed), density(rows), atol=1e-12)
 
     def test_permutation_swaps_members(self, w3):
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         mixed = hjw_mix(rows, swap)
         assert members(mixed)[0][0] == pytest.approx(members(rows)[1][0])
@@ -107,7 +122,7 @@ class TestHjwMix:
     @given(seed=st.integers(0, 10 ** 6), r=st.integers(2, 5))
     def test_reconstruction_preserved(self, seed, r):
         rho = random_mixed_2q(seed)
-        rows = canonical_ensemble(rho)
+        rows = rho.eigen_rows
         if r < len(rows):
             r = len(rows)
         mixing = _random_unitary(r, np.random.default_rng(seed + 1))
@@ -115,7 +130,7 @@ class TestHjwMix:
         assert_allclose(density(mixed), rho.matrix, atol=1e-9)
 
     def test_non_unitary_rejected(self, w3):
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         with pytest.raises(InputError):
             hjw_mix(rows, np.ones((2, 2), dtype=complex))
 
@@ -126,12 +141,12 @@ class TestHjwMix:
     ], ids=["nan", "inf_identity", "one_nan_entry"])
     def test_non_finite_mixing_rejected(self, w3, make):
         # NaN compared with the unitarity tolerance must not read as unitary
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         with pytest.raises(InputError, match="finite"):
             hjw_mix(rows, make())
 
     def test_too_small_mixing_rejected(self, w3):
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         with pytest.raises(InputError):
             hjw_mix(rows, np.eye(1, dtype=complex))
 
@@ -140,7 +155,7 @@ class TestDecompositionIndependence:
     def test_w_pair_objective_constant(self, w3):
         # every decomposition of the W pair reduction gives the same
         # objective 2 |b_1| |b_2| = 2/3
-        rows = canonical_ensemble(reduce_pure_state(w3, (1, 2)))
+        rows = reduce_pure_state(w3, (1, 2)).eigen_rows
         rng = np.random.default_rng(99)
         for _ in range(30):
             r = int(rng.integers(2, 5))
@@ -244,7 +259,7 @@ class TestMTangleMixed:
     def test_value_never_exceeds_canonical_objective(self):
         for seed in range(5):
             rho = random_mixed_2q(4000 + seed)
-            canonical = ensemble_objective(canonical_ensemble(rho))
+            canonical = ensemble_objective(rho.eigen_rows)
             result = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
             assert result.value <= canonical ** 2 + 1e-9
 
@@ -505,7 +520,7 @@ class TestRank2LinearProgram:
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle,
                                         HAAR_CONFIG)
                 assert not steps
-                search = _hjw_search(canonical_ensemble(rho),
+                search = _hjw_search(rho.eigen_rows,
                                      _Objective(pure_three_tangle), HAAR_CONFIG)
                 assert steps
                 steps.clear()
@@ -539,7 +554,7 @@ class TestRank2LinearProgram:
                             ("_hjw_search", "hjw_mix", "_simplex"))
         params = wclass_random(4, 77)
         rho = reduce_pure_state(wclass_state(params), (1, 2, 3))
-        assert len(canonical_ensemble(rho)) == 2
+        assert len(rho.eigen_rows) == 2
         result = m_tangle_mixed(rho, 1, (2, 3), pure_three_tangle, RoofConfig())
         assert result.method == "rank2_lp"
         assert result.restarts_used == 0
@@ -554,7 +569,7 @@ class TestRank2LinearProgram:
 
     def test_two_qubit_roofs_stay_on_the_search(self):
         rho = random_mixed_2q(1)
-        assert len(canonical_ensemble(rho)) == 2
+        assert len(rho.eigen_rows) == 2
         result = m_tangle_mixed(rho, 1, (2,), pure_functional_2q, CFG_2Q)
         assert result.method == "roof"
 
@@ -631,7 +646,7 @@ class TestLevel3Search:
             state = haar_random_state(5, 900 + seed)
             for partners in ((2, 3), (4, 5)):
                 rho = reduce_pure_state(state, (1,) + partners)
-                assert len(canonical_ensemble(rho)) >= 3
+                assert len(rho.eigen_rows) >= 3
                 result = m_tangle_mixed(rho, 1, partners, pure_three_tangle, cfg)
                 assert result.method == "roof"
                 assert_members_reproduce(rho, result)

@@ -14,6 +14,7 @@ from monotangle.qstate import (
 from monotangle.roof import RoofConfig, _random_unitary, m_tangle_mixed
 from monotangle.tangle import (
     TangleValue,
+    _one_tangle_raw,
     concurrence_2q,
     n_tangle_pure,
     one_tangle,
@@ -30,6 +31,20 @@ class TestOneTangle:
     def test_product_state_zero(self):
         state = ket_from_basis_terms(3, [("000", 1)])
         assert one_tangle(state, 1).value == 0.0
+
+    def test_product_round_off_below_zero_reads_zero(self):
+        # kron(a, b) has one-tangle 0; round-off leaves about a third of the
+        # raw determinants just below zero, and those must read exactly 0.0
+        below = 0
+        for seed in range(2000):
+            amps = np.kron(haar_random_state(1, seed).amplitudes,
+                           haar_random_state(2, 10_000 + seed).amplitudes)
+            raw = _one_tangle_raw(amps, 3, 1)
+            assert abs(raw) < 1e-14
+            if raw < 0.0:
+                below += 1
+                assert one_tangle(StateVector(3, amps), 1).value == 0.0
+        assert below > 0
 
     def test_ghz_is_maximal(self, ghz3):
         assert one_tangle(ghz3, 1).value == pytest.approx(1.0, abs=1e-12)
