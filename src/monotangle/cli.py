@@ -45,7 +45,7 @@ from .monogamy import (
 )
 from .qstate import InputError, haar_random_state, load_state, save_state
 from .roof import RoofConfig
-from .tangle import mixed_tangle_term, one_tangle
+from .tangle import _fold, _state_hierarchy, mixed_tangle_term, one_tangle
 from .wclass import (
     WClassParams,
     params_from_dict,
@@ -148,12 +148,18 @@ def _run(body):
     except InputError as exc:
         _summary(f"error: {exc}")
         sys.exit(EXIT_INPUT)
-    except click.exceptions.Exit:
-        raise
     except Exception as exc:  # contract allows no other codes
         _summary(f"internal error: {type(exc).__name__}: {exc}")
         click.echo(traceback.format_exc(), err=True, nl=False)
         sys.exit(EXIT_INPUT)
+
+
+def _read_state(state_file):
+    """`load_state`, with a note on stderr when the file was rescaled."""
+    state = load_state(state_file)
+    if state.renormalized:
+        _summary(f"note: {state_file} was rescaled to unit norm")
+    return state
 
 
 def _build_params(n, use_w, seed, coeffs) -> WClassParams:
@@ -231,7 +237,7 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
 
     def body():
         t0 = time.perf_counter()
-        state = load_state(state_file)
+        state = _read_state(state_file)
         n = state.num_qubits
         config = RoofConfig(seed=seed, restarts=restarts, padding=padding)
         payload = {
@@ -244,34 +250,24 @@ def cmd_tangle(state_file, focus, partners, seed, restarts, padding, out):
             if len(labels) >= 3:  # a level-m >= 4 leaf is an m-qubit hierarchy
                 _qubit_cap(len(labels) + 1)
             term = mixed_tangle_term(state, focus, labels, config)
-            payload["mode"] = "reduction"
-            payload["term"] = term.to_json_dict()
-            payload["converged"] = term.converged
+            payload.update(mode="reduction", term=term.to_json_dict(),
+                           converged=term.converged)
             _summary(f"{_level_name(term.m)} {list(term.partners)}: "
                      f"{_sci(term.value)}")
         elif n < 2:
             raise InputError("tangle hierarchy needs at least 2 qubits")
-        elif n == 2:
-            tau = one_tangle(state, focus).value
-            payload["mode"] = "hierarchy"
-            payload["one_tangle"] = tau
-            payload["terms"] = []
-            payload["n_tangle"] = tau
-            payload["converged"] = True
-            _summary(f"two-tangle: {_sci(tau)}")
         else:
             _qubit_cap(n)
-            report = sm_residual(state, focus, config)
-            payload["mode"] = "hierarchy"
-            payload["one_tangle"] = report.one_tangle
-            payload["terms"] = [t.to_json_dict() for t in report.terms]
-            payload["n_tangle"] = report.sm_residual
-            payload["converged"] = report.converged
-            _summary(f"one-tangle (hub {focus}): {_sci(report.one_tangle)}")
-            for term in report.terms:
+            one, terms = _state_hierarchy(state, focus, config)
+            n_tangle = _fold(one, terms)
+            payload.update(mode="hierarchy", one_tangle=one, n_tangle=n_tangle,
+                           terms=[t.to_json_dict() for t in terms],
+                           converged=all(t.converged for t in terms))
+            _summary(f"one-tangle (hub {focus}): {_sci(one)}")
+            for term in terms:
                 _summary(f"{_level_name(term.m)} {list(term.partners)}: "
                          f"{_sci(term.value)}")
-            _summary(f"{_level_name(n)} (full state): {_sci(report.sm_residual)}")
+            _summary(f"{_level_name(n)} (full state): {_sci(n_tangle)}")
         _dump_json(payload, out)
         _summary(f"done in {1e3 * (time.perf_counter() - t0):.0f} ms")
 
@@ -289,7 +285,7 @@ def cmd_ckw_check(state_file, focus, tol_closed, out):
 
     def body():
         check_tolerance("tol_closed", tol_closed)
-        state = load_state(state_file)
+        state = _read_state(state_file)
         residual = ckw_residual(state, focus)
         payload = {
             "manifest": _manifest(RoofConfig(), state_file, out),
@@ -334,7 +330,7 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
             state = wclass_state(params)
             source = "wclass"
         elif state_file is not None:
-            state = load_state(state_file)
+            state = _read_state(state_file)
             source = state_file
         else:
             raise InputError("need a STATE_FILE argument or --wclass")

@@ -564,8 +564,9 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
     zero-tangle members of the range) and local patches around the basic
     points of each solve.  g = 2 |sum_k Q_k alpha^(4-k) beta^k|^(1/2),
     where Q is the binary form of Det on (u0, u1).  The columns fill a
-    copy of the cached table (:func:`_lp_table`) from the left, and each
-    solve sees the filled prefix.  The start basis, p0 and p1 on the +-z
+    copy of the cached table (:func:`_lp_table`) from the left in rounds,
+    the zeros and then one per patch spacing, and each round ends in a
+    solve over the filled prefix.  The start basis, p0 and p1 on the +-z
     axes, is the eigen-rows, returned for a pure state or a certified zero;
     otherwise the rows sqrt(w_k) psi(n_k) of the optimal basis are returned.
     """
@@ -584,24 +585,24 @@ def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
     alpha, beta = points
     A = start_columns.copy()
     c = np.empty(_LP_COLUMNS)
-    zero_alpha, zero_beta = _quartic_zeros(coeffs)
-    n = _LP_START + len(zero_alpha)
-    points[:, _LP_START:n] = zero_alpha, zero_beta
-    _bloch_columns(zero_alpha, zero_beta, A[1:, _LP_START:n])
-    c[:n] = 2.0 * np.sqrt(np.abs(np.concatenate(
-        [start_monos @ coeffs, _monomials(zero_alpha, zero_beta) @ coeffs])))
+    c[:_LP_START] = 2.0 * np.sqrt(np.abs(start_monos @ coeffs))
     b = np.array([probs.sum(), 0.0, 0.0, probs[0] - probs[1]])
     basis = [0, 1, 2, 3]
-    x = _simplex(A[:, :n], c[:n], b, basis)
-    for t, norm in _LP_PATCH_STEPS:
-        # 5 x 5 patches in the tangent plane of each weighted basic point:
-        # (psi + t psi_perp) / |..| with psi_perp = (-beta*, alpha*) lies a
-        # Bloch angle of about 2 |t| from psi
-        centre = [k for k, weight in zip(basis, x.tolist()) if weight > 0.0]
-        centre_alpha = alpha[centre, None]
-        centre_beta = beta[centre, None]
-        new_alpha = ((centre_alpha - t * centre_beta.conj()) * norm).ravel()
-        new_beta = ((centre_beta + t * centre_alpha.conj()) * norm).ravel()
+
+    def rounds():
+        # the quartic's zeros, then 5 x 5 tangent-plane patches around each
+        # weighted basic point of the last solve: (psi + t psi_perp) / |..|,
+        # psi_perp = (-beta*, alpha*), lies a Bloch angle of ~2 |t| from psi
+        yield _quartic_zeros(coeffs)
+        for t, norm in _LP_PATCH_STEPS:
+            centre = [k for k, weight in zip(basis, x.tolist()) if weight > 0.0]
+            centre_alpha = alpha[centre, None]
+            centre_beta = beta[centre, None]
+            yield (((centre_alpha - t * centre_beta.conj()) * norm).ravel(),
+                   ((centre_beta + t * centre_alpha.conj()) * norm).ravel())
+
+    n = _LP_START
+    for new_alpha, new_beta in rounds():
         end = n + len(new_alpha)
         points[:, n:end] = new_alpha, new_beta
         _bloch_columns(new_alpha, new_beta, A[1:, n:end])

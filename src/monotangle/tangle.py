@@ -250,16 +250,17 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
         value = _concurrence_matrix(_pure_factor(amps, n, positions)) ** 2
         return TermRecord(partners, m, value, None)
     rho = DensityOperator(kept, _reduced_from_pure(amps, n, positions))
-    convergence_log: list[bool] = []
+    if m == 3:
+        result = _roof_minimize(rho, fpos, partners, pure_three_tangle, config)
+        return TermRecord(partners, m, result.value, result)
+    nested: set[bool] = set()
     member_fpos = kept.index(fpos) + 1
 
     def pure_functional(member: np.ndarray) -> float:
-        return _pure_m_tangle_amps(member, m, member_fpos, config,
-                                   convergence_log)
+        return _pure_m_tangle_amps(member, m, member_fpos, config, nested)
 
-    leaf = pure_three_tangle if m == 3 else pure_functional
-    result = _roof_minimize(rho, fpos, partners, leaf, config)
-    if not all(convergence_log):
+    result = _roof_minimize(rho, fpos, partners, pure_functional, config)
+    if False in nested:
         result = dataclasses.replace(result, converged=False)
     return TermRecord(partners, m, result.value, result)
 
@@ -296,15 +297,15 @@ def _state_hierarchy(state: StateVector, focus: int, config,
 
 
 def _pure_m_tangle_amps(amps: np.ndarray, m: int, fpos: int, config,
-                        convergence_log: list[bool]) -> float:
+                        nested: set[bool]) -> float:
     """Roof leaf: recursive pure m-tangle of a raw normalized amplitude vector.
 
     Skips per-call object validation, which matters inside roof searches
     where members are evaluated many thousands of times.  The convergence
-    flags of its own roof terms are appended to `convergence_log`.
+    flags of its own roof terms are added to the set `nested`.
     """
     one, terms = _hierarchy(amps, m, fpos, config)
-    convergence_log.extend(t.converged for t in terms)
+    nested.update(t.converged for t in terms)
     return _fold(one, terms)
 
 

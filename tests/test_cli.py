@@ -210,6 +210,35 @@ class TestTangle:
         assert result.exit_code == 2
         assert "MONOTANGLE_MAX_QUBITS must be an integer" in result.stderr
 
+    @pytest.mark.parametrize("cap, message", [
+        ("1", "error: 2 qubits exceeds the cap of 1"),
+        ("abc", "error: MONOTANGLE_MAX_QUBITS must be an integer"),
+    ])
+    def test_two_qubit_hierarchy_reads_the_cap(self, runner, tmp_path,
+                                               monkeypatch, bell_state, cap,
+                                               message):
+        state_file = tmp_path / "bell.json"
+        save_state(bell_state, state_file)
+        monkeypatch.setenv("MONOTANGLE_MAX_QUBITS", cap)
+        result = invoke(runner, ["tangle", str(state_file)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(message)
+
+    def test_two_qubit_hierarchy_summary(self, runner, tmp_path, bell_state):
+        # n = 2 is the hierarchy with no terms: the n-tangle is the
+        # one-tangle, reported in the format of every n
+        state_file = tmp_path / "bell.json"
+        save_state(bell_state, state_file)
+        result = invoke(runner, ["tangle", str(state_file)])
+        assert result.exit_code == 0
+        assert result.stderr.splitlines()[:2] == [
+            "one-tangle (hub 1): 1.00e+00",
+            "two-tangle (full state): 1.00e+00",
+        ]
+        payload = json.loads(result.stdout)
+        assert (payload["terms"], payload["converged"]) == ([], True)
+        assert payload["n_tangle"] == payload["one_tangle"]
+
     def test_level4_reduction_reads_the_cap(self, runner, tmp_path,
                                            monkeypatch):
         # each member of a level-4 roof is a 4-qubit hierarchy
@@ -388,6 +417,19 @@ class TestSmCheck:
             result = invoke(runner, [command, str(path), "--out",
                                      str(tmp_path / f"{command}.json")])
             assert result.exit_code == 0, result.stderr
+
+    @pytest.mark.parametrize("command", ["tangle", "ckw-check", "sm-check"])
+    def test_rescaled_state_file_is_noted(self, runner, tmp_path, command):
+        amps = haar_random_state(3, 5).amplitudes
+        for excess, noted in ((1e-9, True), (4e-13, False)):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(scaled_state_record(amps, excess)))
+            result = invoke(runner, [command, str(path)])
+            assert result.exit_code == 0, result.stderr
+            note = f"note: {path} was rescaled to unit norm\n"
+            assert result.stderr.startswith(note) is noted, excess
+            assert "note:" not in result.stdout
+            json.loads(result.stdout)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity"])
     def test_non_finite_state_file_exit_2(self, runner, tmp_path, token):

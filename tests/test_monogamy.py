@@ -12,7 +12,7 @@ from monotangle.monogamy import (
     sweep_foci,
     verify_saturation,
 )
-from monotangle import roof
+from monotangle import roof, tangle
 from monotangle.qstate import (
     InputError,
     StateVector,
@@ -242,6 +242,33 @@ class TestVerifySaturation:
             assert term.method == "roof"
             assert term.converged is False
         assert report.converged is False
+
+    def test_one_unconverged_nested_roof_marks_the_term(self, monkeypatch):
+        # every other LP reports non-convergence, and the record of an m = 4
+        # term keeps at most the two flag values however many members its
+        # search evaluates
+        lp, leaf = roof._rank2_lp, tangle._pure_m_tangle_amps
+        lp_calls, record_sizes = [], []
+
+        def half_converged(*args):
+            lp_calls.append(None)
+            return dataclasses.replace(lp(*args),
+                                       converged=len(lp_calls) % 2 == 0)
+
+        def recorded_leaf(*args):
+            value = leaf(*args)
+            record_sizes.append(len(args[4]))
+            return value
+
+        monkeypatch.setattr(roof, "_rank2_lp", half_converged)
+        monkeypatch.setattr(tangle, "_pure_m_tangle_amps", recorded_leaf)
+        report = verify_saturation(w_state_params(5), RoofConfig())
+        level4 = [t for t in report.terms if t.m == 4]
+        assert len(level4) == 4
+        for term in level4:
+            assert (term.method, term.converged) == ("roof", False)
+        assert report.converged is False
+        assert record_sizes and max(record_sizes) <= 2
 
 
 class TestSweepFoci:

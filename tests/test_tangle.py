@@ -14,7 +14,10 @@ from monotangle.qstate import (
 from monotangle.roof import RoofConfig, _random_unitary, m_tangle_mixed
 from monotangle.tangle import (
     TangleValue,
+    _fold,
+    _hierarchy,
     _one_tangle_raw,
+    _pure_m_tangle_amps,
     concurrence_2q,
     n_tangle_pure,
     one_tangle,
@@ -22,6 +25,7 @@ from monotangle.tangle import (
     pure_three_tangle,
     two_tangle,
 )
+from monotangle.wclass import wclass_random, wclass_state
 from .conftest import ckw_three_tangle, members, permute_qubits
 
 CFG = RoofConfig(seed=11, restarts=4, max_sweeps=60)
@@ -243,6 +247,41 @@ class TestNTanglePure:
                         assert n_tangle_pure(member, hub, CFG).value == (
                             pytest.approx(exact, abs=1e-12)
                         ), (seed, partners, hub)
+
+
+class TestPureMTangleLeaf:
+    """The m >= 4 leaf subtracts max(0, value)^(m/2) >= 0 for each of its
+    m >= 3 terms from the member's CKW residual, so it never exceeds it."""
+
+    @staticmethod
+    def leaf_and_ckw(state, hub, config):
+        amps, m = state.amplitudes, state.num_qubits
+        leaf = _pure_m_tangle_amps(amps, m, hub, config, set())
+        return leaf, _fold(*_hierarchy(amps, m, hub, None, top=2))
+
+    def test_four_qubit_members_at_every_hub(self):
+        for seed in range(50):
+            state = haar_random_state(4, seed)
+            for hub in (1, 2, 3, 4):
+                leaf, ckw = self.leaf_and_ckw(state, hub, RoofConfig())
+                assert leaf <= ckw, (seed, hub)
+
+    def test_five_qubit_members_lie_far_below(self):
+        # the inner level-3 and level-4 roofs are upper bounds, so their
+        # powers can outweigh the whole CKW residual (leaves of about -3.0,
+        # -1.6 and -2.2 against residuals of about 0.97, 0.88 and 0.87)
+        cfg = RoofConfig(restarts=1, max_sweeps=0)
+        for seed in range(3):
+            leaf, ckw = self.leaf_and_ckw(haar_random_state(5, seed), 1, cfg)
+            assert leaf < -1.0 < 0.8 < ckw, seed
+
+    def test_wclass_member_saturates(self):
+        # every m >= 3 term of a W-class state vanishes
+        state = wclass_state(wclass_random(5, 3))
+        leaf, ckw = self.leaf_and_ckw(state, 1,
+                                      RoofConfig(restarts=1, max_sweeps=0))
+        assert leaf <= ckw
+        assert leaf == pytest.approx(ckw, abs=1e-12)
 
 
 class TestPureThreeTangle:
