@@ -30,6 +30,9 @@ that sphere at rho's Bloch point (Osterloh, Siewert & Uhlmann, PRA 77,
 032310, 2008).  A small linear program over a cached grid, the zeros of
 the binary quartic and local patches solves it (:func:`_rank2_lp`) from
 the eigen-rows, and its optimal basis is the returned decomposition.
+:func:`m_tangles_mixed` takes the states of one hierarchy level under one
+leaf and solves their linear programs together, one numpy pass per column
+round; :func:`m_tangle_mixed` is a batch of one.
 
 Either value is attained by the returned rows, so it is an upper bound on
 the roof of the leaf it was given.  For m <= 3 the leaf is exact, so the
@@ -237,9 +240,11 @@ def _binary_form(d: int, poly, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         P(c x + e s y) = sum_k A_k c^(d-k) (e s)^k
         P(c y - e* s x) = sum_k A_k c^k (-e* s)^(d-k)
     for c = cos(t), s = sin(t), e = e^{i f}: row j reads the same
-    coefficients in reverse order.
+    coefficients in reverse order.  Leading axes of x and y are a stack of
+    pairs, with one coefficient row each.
     """
-    return np.fft.fft(poly(x[None, :] + _unity_roots(d) * y[None, :])) / (d + 1)
+    rows = x[..., None, :] + _unity_roots(d) * y[..., None, :]
+    return np.fft.fft(poly(rows)) / (d + 1)
 
 
 @lru_cache(maxsize=None)
@@ -422,9 +427,9 @@ def _bloch_columns(alpha: np.ndarray, beta: np.ndarray, out: np.ndarray) -> None
 
 
 def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """alpha^(4-k) beta^k for k = 0 ... 4, one row per point."""
+    """alpha^(4-k) beta^k for k = 0 ... 4, on a new last axis."""
     k = np.arange(5)
-    return alpha[:, None] ** (4 - k) * beta[:, None] ** k
+    return alpha[..., None] ** (4 - k) * beta[..., None] ** k
 
 
 @lru_cache(maxsize=1)
@@ -493,23 +498,34 @@ def _quartic_zeros(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
-             basis: list[int]) -> np.ndarray:
+             basis: list[int], state: list | None = None) -> np.ndarray:
     """Revised simplex: min c.w subject to A w = b, w >= 0.
 
     `basis` indexes a feasible nonsingular start basis and is updated in
-    place to the optimal one; returns the basic weights.  The basis is
-    inverted once on entry; each pivot then updates the inverse B^-1 and
-    the basic weights x by a rank-one step: with d = B^-1 a_enter and
-    leaving row l, row l becomes row l / d_l and every other row r loses
-    d_r times that.  Pricing takes the most negative reduced cost, ratio
-    ties going to the first row.  After a degenerate pivot it switches to
-    Bland's rule until a pivot makes progress: the first improving column
-    enters, and of the rows within _LP_STALL of the smallest ratio, the
-    smallest basis index leaves.  Raises RuntimeError past _LP_MAX_PIVOTS:
-    an LP that does not finish is an internal failure, never a fallback.
+    place to the optimal one.  The basis is inverted once; each pivot then
+    updates the inverse B^-1 and the basic weights x by a rank-one step:
+    with d = B^-1 a_enter and leaving row l, row l becomes row l / d_l and
+    every other row r loses d_r times that.  Pricing takes the most
+    negative reduced cost, ratio ties going to the first row.  After a
+    degenerate pivot it switches to Bland's rule until a pivot makes
+    progress: the first improving column enters, and of the rows within
+    _LP_STALL of the smallest ratio, the smallest basis index leaves.
+    Raises RuntimeError past _LP_MAX_PIVOTS: an LP that does not finish is
+    an internal failure, never a fallback.
+
+    Without `state`, returns the weights of one backward-stable solve at
+    the optimal basis, so that they reconstruct b to rounding.  A caller
+    that appends columns to A and solves again passes the same list
+    `state` to every call.  The first call stores [B^-1, x] in it and each
+    later call resumes from there: the new columns only enter the pricing,
+    and the basis is not inverted again.  Such a call returns the updated
+    weights x, and the caller makes the one solve after its last call.
     """
-    inverse = np.linalg.inv(A[:, basis])
-    x = (inverse @ b).tolist()
+    if state:
+        inverse, x = state
+    else:
+        inverse = np.linalg.inv(A[:, basis])
+        x = (inverse @ b).tolist()
     basic_costs = c[basis]
     bland = False
     for _ in range(_LP_MAX_PIVOTS):
@@ -550,79 +566,141 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
         basic_costs[leave] = c[enter]
     else:
         raise RuntimeError(f"rank-2 roof LP exceeded {_LP_MAX_PIVOTS} pivots")
-    # the updated inverse prices; a backward-stable solve gives the weights,
-    # so that the decomposition reconstructs b to rounding
-    return np.linalg.solve(A[:, basis], b)
+    if state is None:
+        return np.linalg.solve(A[:, basis], b)
+    state[:] = inverse, x
+    return np.array(x)
 
 
-def _rank2_lp(rows: np.ndarray, objective: _Objective) -> RoofResult:
-    """Roof of a rank <= 2 state under the degree-4 leaf, as a linear program.
-
-    Minimizes sum_k w_k g(n_k), with g = sqrt(tau) on psi(n_k), subject to
-    sum_k w_k (1, n_k) = (p0 + p1, 0, 0, p0 - p1) and w >= 0, over the
-    axes, a Fibonacci grid, the zeros of the binary quartic (the
-    zero-tangle members of the range) and local patches around the basic
-    points of each solve.  g = 2 |sum_k Q_k alpha^(4-k) beta^k|^(1/2),
-    where Q is the binary form of Det on (u0, u1).  The columns fill a
-    copy of the cached table (:func:`_lp_table`) from the left in rounds,
-    the zeros and then one per patch spacing, and each round ends in a
-    solve over the filled prefix.  The start basis, p0 and p1 on the +-z
-    axes, is the eigen-rows, returned for a pure state or a certified zero;
-    otherwise the rows sqrt(w_k) psi(n_k) of the optimal basis are returned.
-    """
+def _start_exit(rows: np.ndarray, objective: _Objective) -> RoofResult | None:
+    """The eigen-rows as the roof, for a pure state or a certified zero."""
     start = sum(objective.contribution(row) for row in rows)
     if len(rows) == 1 or start * start <= EARLY_STOP_VALUE:
         return RoofResult(value=float(start * start), best_rows=rows,
                           restarts_used=0, converged=True,
                           min_pure_tangle_seen=float(objective.min_tau),
                           method="rank2_lp")
-    probs = np.einsum("ij,ij->i", rows, rows.conj()).real
-    units = rows / np.sqrt(probs)[:, None]
-    coeffs = _binary_form(4, objective.poly[1], units[0], units[1])
+    return None
 
+
+def _rank2_lp(rows: list[np.ndarray],
+              objectives: list[_Objective]) -> list[RoofResult]:
+    """Roofs of rank <= 2 states under the degree-4 leaf, as linear programs.
+
+    Takes the eigen-rows and the objective of each of K terms and returns
+    their results in order.  Per term it minimizes sum_k w_k g(n_k), with
+    g = sqrt(tau) on psi(n_k), subject to sum_k w_k (1, n_k) = (p0 + p1,
+    0, 0, p0 - p1) and w >= 0, over the axes, a Fibonacci grid, the zeros
+    of the binary quartic (the zero-tangle members of the range) and local
+    patches around the basic points of each solve.  g = 2 |sum_k Q_k
+    alpha^(4-k) beta^k|^(1/2), where Q is the binary form of Det on
+    (u0, u1).  The start basis, p0 and p1 on the +-z axes, is the
+    eigen-rows, returned for a pure state or a certified zero.
+
+    The other terms are solved together, one column round at a time: the
+    zeros, then one round per patch spacing.  A round builds the binary
+    forms' new points, Bloch columns and costs for every term in one numpy
+    pass, on arrays padded to the round's widest term, and writes each
+    term's slices into its copy of the cached table (:func:`_lp_table`)
+    from the left.  Each term then resumes its own simplex state
+    (:func:`_simplex`): the start basis is inverted once, B^-1 and the
+    weights carry over from round to round, and one backward-stable solve
+    after the last round gives the weights, whose rows sqrt(w_k) psi(n_k)
+    on the optimal basis are returned.  Every number is computed as it
+    would be for a batch of one.
+    """
+    results = [_start_exit(r, objective)
+               for r, objective in zip(rows, objectives)]
+    todo = [k for k, result in enumerate(results) if result is None]
+    if not todo:
+        return results
+    eigen = np.stack([rows[k] for k in todo])
+    probs = np.einsum("kij,kij->ki", eigen, eigen.conj()).real
+    units = eigen / np.sqrt(probs)[..., None]
+    coeffs = _binary_form(4, objectives[todo[0]].poly[1],
+                          units[:, 0], units[:, 1])
+
+    terms = len(todo)
     start_points, start_columns, start_monos = _lp_table()
-    points = start_points.copy()
-    alpha, beta = points
-    A = start_columns.copy()
-    c = np.empty(_LP_COLUMNS)
-    c[:_LP_START] = 2.0 * np.sqrt(np.abs(start_monos @ coeffs))
-    b = np.array([probs.sum(), 0.0, 0.0, probs[0] - probs[1]])
-    basis = [0, 1, 2, 3]
+    points = np.repeat(start_points[None], terms, axis=0)
+    alpha, beta = points[:, 0], points[:, 1]
+    A = np.repeat(start_columns[None], terms, axis=0)
+    c = np.empty((terms, _LP_COLUMNS))
+    c[:, :_LP_START] = 2.0 * np.sqrt(
+        np.abs(start_monos @ coeffs[..., None]))[..., 0]
+    b = np.zeros((terms, 4))
+    b[:, 0] = probs.sum(axis=1)
+    b[:, 3] = probs[:, 0] - probs[:, 1]
+    term_rows = np.arange(terms)[:, None]
+    bases = [[0, 1, 2, 3] for _ in todo]
+    states = [[] for _ in todo]
+    weights = [None] * terms
+
+    def padded(blocks):
+        # one row per term, at least two columns wide, so that the cost
+        # product takes numpy's matrix-vector kernel for every term: a
+        # lone point would take its dot kernel, which rounds differently
+        width = max(2, max(len(block) for block in blocks))
+        out = np.zeros((terms, width), dtype=np.complex128)
+        for row, block in zip(out, blocks):
+            row[:len(block)] = block
+        return out
 
     def rounds():
         # the quartic's zeros, then 5 x 5 tangent-plane patches around each
         # weighted basic point of the last solve: (psi + t psi_perp) / |..|,
         # psi_perp = (-beta*, alpha*), lies a Bloch angle of ~2 |t| from psi
-        yield _quartic_zeros(coeffs)
+        zeros = [_quartic_zeros(q) for q in coeffs]
+        yield ([len(z) for z, _ in zeros], padded([z for z, _ in zeros]),
+               padded([z for _, z in zeros]))
         for t, norm in _LP_PATCH_STEPS:
-            centre = [k for k, weight in zip(basis, x.tolist()) if weight > 0.0]
-            centre_alpha = alpha[centre, None]
-            centre_beta = beta[centre, None]
-            yield (((centre_alpha - t * centre_beta.conj()) * norm).ravel(),
-                   ((centre_beta + t * centre_alpha.conj()) * norm).ravel())
+            centres = [[k for k, w in zip(basis, x.tolist()) if w > 0.0]
+                       for basis, x in zip(bases, weights)]
+            index = np.zeros((terms, max(map(len, centres))), dtype=np.intp)
+            for row, centre in zip(index, centres):
+                row[:len(centre)] = centre
+            centre_alpha = alpha[term_rows, index][..., None]
+            centre_beta = beta[term_rows, index][..., None]
+            new_alpha = (centre_alpha - t * centre_beta.conj()) * norm
+            new_beta = (centre_beta + t * centre_alpha.conj()) * norm
+            yield ([len(centre) * len(t) for centre in centres],
+                   new_alpha.reshape(terms, -1), new_beta.reshape(terms, -1))
 
-    n = _LP_START
-    for new_alpha, new_beta in rounds():
-        end = n + len(new_alpha)
-        points[:, n:end] = new_alpha, new_beta
-        _bloch_columns(new_alpha, new_beta, A[1:, n:end])
-        c[n:end] = 2.0 * np.sqrt(np.abs(_monomials(new_alpha, new_beta) @ coeffs))
-        n = end
-        x = _simplex(A[:, :n], c[:n], b, basis)
+    ends = [_LP_START] * terms
+    for counts, new_alpha, new_beta in rounds():
+        bloch = np.empty((3,) + new_alpha.shape)
+        _bloch_columns(new_alpha, new_beta, bloch)
+        costs = 2.0 * np.sqrt(np.abs(
+            _monomials(new_alpha, new_beta) @ coeffs[..., None]))[..., 0]
+        for k, count in enumerate(counts):
+            n = ends[k]
+            end = ends[k] = n + count
+            points[k, :, n:end] = new_alpha[k, :count], new_beta[k, :count]
+            A[k, 1:, n:end] = bloch[:, k, :count]
+            c[k, n:end] = costs[k, :count]
+            weights[k] = _simplex(A[k, :, :end], c[k, :end], b[k], bases[k],
+                                  states[k])
 
-    keep = [k for k in range(len(basis)) if x[k] > 0.0]
-    picked = [basis[k] for k in keep]
-    best_rows = (np.sqrt(x[keep])[:, None]
-                 * (alpha[picked, None] * units[0] + beta[picked, None] * units[1]))
-    value = sum(objective.contribution(row) for row in best_rows)
-    return RoofResult(
-        value=float(value * value),
-        best_rows=best_rows,
-        restarts_used=0,
-        converged=True,
-        min_pure_tangle_seen=float(min(objective.min_tau, c[:n].min() ** 2)),
-        method="rank2_lp",
-    )
+    solved = np.linalg.solve(A[term_rows, :, bases].transpose(0, 2, 1),
+                             b[..., None])[..., 0]
+    for row, (k, basis, end, x) in enumerate(zip(todo, bases, ends, solved)):
+        keep = [i for i in range(len(basis)) if x[i] > 0.0]
+        picked = [basis[i] for i in keep]
+        best_rows = (np.sqrt(x[keep])[:, None]
+                     * (alpha[row, picked, None] * units[row, 0]
+                        + beta[row, picked, None] * units[row, 1]))
+        objective = objectives[k]
+        value = sum(objective.contribution(r) for r in best_rows)
+        results[k] = RoofResult(
+            value=float(value * value),
+            best_rows=best_rows,
+            restarts_used=0,
+            converged=True,
+            min_pure_tangle_seen=float(min(objective.min_tau,
+                                           c[row, :end].min() ** 2)),
+            method="rank2_lp",
+        )
+    return results
 
 
 def _hjw_search(rows: np.ndarray, objective: _Objective,
@@ -695,19 +773,37 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     config : RoofConfig
         Search budget; identical configs give bit-identical results.
 
-    Both routes start from `rho.eigen_rows`.  Under the degree-4 leaf
-    (every m = 3 term), a rho of rank <= 2 is solved by the linear program
-    of :func:`_rank2_lp` (method "rank2_lp"), where `config` does not
-    apply; every other roof is the HJW search :func:`_hjw_search` ("roof").
+    A batch of one of :func:`m_tangles_mixed`, which routes the roof.
     """
-    partners = as_subset(partners)
-    expected = tuple(sorted((focus,) + partners.labels))
-    if tuple(sorted(rho.qubit_labels)) != expected:
-        raise InputError(
-            f"rho acts on {rho.qubit_labels}, expected {expected}"
-        )
-    rows = rho.eigen_rows
-    objective = _Objective(pure_functional)
-    if objective.poly is not None and objective.poly[0] == 4 and len(rows) <= 2:
-        return _rank2_lp(rows, objective)
-    return _hjw_search(rows, objective, config)
+    return m_tangles_mixed([rho], focus, [partners], pure_functional,
+                           config)[0]
+
+
+def m_tangles_mixed(rhos, focus: int, partner_sets, pure_functional,
+                    config: RoofConfig) -> list[RoofResult]:
+    """Convex-roof m-tangles of several states under one leaf, in order.
+
+    rhos[k] is a state on exactly {focus} union partner_sets[k]; the other
+    parameters are those of :func:`m_tangle_mixed`.  Every route starts
+    from the state's `eigen_rows`.  Under the degree-4 leaf (every m = 3
+    term), the states of rank <= 2 are solved together by the linear
+    programs of :func:`_rank2_lp` (method "rank2_lp"), where `config` does
+    not apply; every other roof is the HJW search :func:`_hjw_search`
+    ("roof").  Each result is the one its state gets alone.
+    """
+    for rho, partners in zip(rhos, partner_sets):
+        partners = as_subset(partners)
+        expected = tuple(sorted((focus,) + partners.labels))
+        if tuple(sorted(rho.qubit_labels)) != expected:
+            raise InputError(
+                f"rho acts on {rho.qubit_labels}, expected {expected}"
+            )
+    objectives = [_Objective(pure_functional) for _ in rhos]
+    poly = getattr(pure_functional, "polynomial", None)
+    lp = [k for k, rho in enumerate(rhos)
+          if poly is not None and poly[0] == 4 and len(rho.eigen_rows) <= 2]
+    solved = dict(zip(lp, _rank2_lp([rhos[k].eigen_rows for k in lp],
+                                    [objectives[k] for k in lp])))
+    return [solved[k] if k in solved
+            else _hjw_search(rho.eigen_rows, objectives[k], config)
+            for k, rho in enumerate(rhos)]

@@ -10,13 +10,15 @@ power m/2, for m = 2 ... n-1.
 
 That (level, subset) hierarchy is written once, on raw amplitudes:
 :func:`_hierarchy` lists the terms, as :class:`TermRecord` records, and
-:func:`_term` evaluates one of them -- the concurrence closed form for
-m = 2, a convex roof delegated to :mod:`monotangle.roof` for m >= 3.
-The roof's members are evaluated by the Cayley-hyperdeterminant leaf
+:func:`_terms` evaluates one level of them -- the concurrence closed form
+for m = 2, a convex roof delegated to :mod:`monotangle.roof` for m >= 3,
+where the level-3 roofs of a level go to the roof in one call.  The
+roof's members are evaluated by the Cayley-hyperdeterminant leaf
 :func:`pure_three_tangle` for m = 3 and by :func:`_pure_m_tangle_amps`,
 itself a fold over :func:`_hierarchy`, for m >= 4.
-:func:`n_tangle_pure`, :func:`mixed_tangle_term` and the residuals in
-:mod:`monotangle.monogamy` are folds over the same two functions.
+:func:`n_tangle_pure`, :func:`mixed_tangle_term` (a level of one term)
+and the residuals in :mod:`monotangle.monogamy` are folds over the same
+two functions.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .qstate import (
     as_subset,
     check_labels_in_range,
 )
-from .roof import RoofResult, m_tangle_mixed as _roof_minimize
+from .roof import RoofResult, m_tangles_mixed
+from .roof import m_tangle_mixed as _roof_minimize
 
 # sy x sy is antidiagonal with entries (-1, 1, 1, -1), so (sy x sy) v is
 # these signs times v reversed; fixed convention for concurrence
@@ -223,38 +226,37 @@ class TermRecord:
         }
 
 
-def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
-          config) -> TermRecord:
-    """Mixed m-tangle of the reduction of raw `amps` onto fpos plus partners.
-
-    Returns the term's record.  For m = 2 the concurrence closed form,
-    taken from the pure-state factor of the reduction, is exact and the
-    record's roof is None.  For m >= 3 :func:`monotangle.roof.m_tangle_mixed`,
-    from the eigen-rows of the reduction's DensityOperator, evaluates each
-    member with a pure m-tangle leaf: the hyperdeterminant
-    :func:`pure_three_tangle` for m = 3, and for m >= 4 the leaf that
-    recurses through :func:`_hierarchy`, where non-convergence of any
-    nested roof marks the returned result as not converged.  An m = 3
-    reduction of rank <= 2 -- every level-3 term at n = 4 and of a W-class
-    state, and every level-3 term inside an m = 4 leaf -- is solved there
-    as a linear program (method "rank2_lp"); the others run the HJW search
-    under `config` (method "roof").  An m = 3 value is an attained upper
-    bound on its roof.  An m >= 4 value is an upper bound only on the roof
-    of the computed leaf, which subtracts inner roofs that are upper bounds
-    themselves and so lies below the true leaf; it bounds no true roof.
-    """
+def _reduction(amps: np.ndarray, n: int, fpos: int,
+               partners: tuple[int, ...]) -> DensityOperator:
+    """The reduction of raw `amps` onto fpos plus partners."""
     kept = tuple(sorted((fpos,) + partners))
     positions = tuple(p - 1 for p in kept)
-    m = len(kept)
+    return DensityOperator(kept, _reduced_from_pure(amps, n, positions))
+
+
+def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
+          config) -> TermRecord:
+    """Mixed m-tangle, m = 2 or m >= 4, of the reduction onto fpos + partners.
+
+    Returns the term's record; level-3 terms are evaluated a level at a
+    time by :func:`_terms`.  For m = 2 the concurrence closed form, taken
+    from the pure-state factor of the reduction, is exact and the record's
+    roof is None.  For m >= 4 :func:`monotangle.roof.m_tangle_mixed` runs
+    the HJW search under `config` from the eigen-rows of the reduction's
+    DensityOperator, on the leaf that recurses through :func:`_hierarchy`;
+    non-convergence of any nested roof marks the returned result as not
+    converged.  An m >= 4 value is an upper bound only on the roof of the
+    computed leaf, which subtracts inner roofs that are upper bounds
+    themselves and so lies below the true leaf; it bounds no true roof.
+    """
+    m = len(partners) + 1
     if m == 2:
+        positions = tuple(p - 1 for p in sorted((fpos,) + partners))
         value = _concurrence_matrix(_pure_factor(amps, n, positions)) ** 2
         return TermRecord(partners, m, value, None)
-    rho = DensityOperator(kept, _reduced_from_pure(amps, n, positions))
-    if m == 3:
-        result = _roof_minimize(rho, fpos, partners, pure_three_tangle, config)
-        return TermRecord(partners, m, result.value, result)
+    rho = _reduction(amps, n, fpos, partners)
     nested: set[bool] = set()
-    member_fpos = kept.index(fpos) + 1
+    member_fpos = rho.qubit_labels.index(fpos) + 1
 
     def pure_functional(member: np.ndarray) -> float:
         return _pure_m_tangle_amps(member, m, member_fpos, config, nested)
@@ -265,18 +267,43 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     return TermRecord(partners, m, result.value, result)
 
 
+def _terms(amps: np.ndarray, n: int, fpos: int, m: int, partner_sets,
+           config) -> list[TermRecord]:
+    """Records of the level-m terms of raw `amps`, one per partner subset.
+
+    The level-3 terms go to the roof together:
+    :func:`monotangle.roof.m_tangles_mixed` evaluates their members with
+    the hyperdeterminant :func:`pure_three_tangle` and solves the
+    reductions of rank <= 2 -- every level-3 term at n = 4 and of a
+    W-class state, and every level-3 term inside an m = 4 leaf -- as one
+    batch of linear programs (method "rank2_lp"); the others run the HJW
+    search under `config` (method "roof").  An m = 3 value is an attained
+    upper bound on its roof.  Every other level is evaluated term by term
+    (:func:`_term`).
+    """
+    if m != 3:
+        return [_term(amps, n, fpos, partners, config)
+                for partners in partner_sets]
+    rhos = [_reduction(amps, n, fpos, partners) for partners in partner_sets]
+    results = m_tangles_mixed(rhos, fpos, partner_sets, pure_three_tangle,
+                              config)
+    return [TermRecord(partners, m, result.value, result)
+            for partners, result in zip(partner_sets, results)]
+
+
 def _hierarchy(amps: np.ndarray, n: int, fpos: int, config,
                top: int | None = None):
     """Raw one-tangle and every hierarchy term of a pure n-qubit state.
 
     Terms run over m = 2 ... top (default n - 1), ordered by level and
     then lexicographically over the size-(m-1) partner subsets that
-    exclude the hub; each subset is counted once.
+    exclude the hub; each subset is counted once.  Each level is one call
+    of :func:`_terms`, so the level-3 roofs are solved together.
     """
     others = tuple(p for p in range(1, n + 1) if p != fpos)
-    terms = [_term(amps, n, fpos, partners, config)
-             for m in range(2, (n - 1 if top is None else top) + 1)
-             for partners in combinations(others, m - 1)]
+    terms = [term for m in range(2, (n - 1 if top is None else top) + 1)
+             for term in _terms(amps, n, fpos, m,
+                                list(combinations(others, m - 1)), config)]
     return _one_tangle_raw(amps, n, fpos), terms
 
 
@@ -315,7 +342,8 @@ def mixed_tangle_term(state: StateVector, focus: int, partners,
 
     Returns the term's record, with partners sorted; its roof is None for
     m = 2, where the concurrence closed form is exact and no search is
-    needed.
+    needed.  It is the one term of a level (:func:`_terms`), so its record
+    is the one the hierarchy gives the same subset.
     """
     _check_focus(state, focus)
     partners = as_subset(partners)
@@ -324,8 +352,9 @@ def mixed_tangle_term(state: StateVector, focus: int, partners,
     if len(partners) + 1 >= state.num_qubits:
         raise InputError("reduction must be a proper subsystem")
     check_labels_in_range(partners, state.num_qubits)
-    return _term(state.amplitudes, state.num_qubits, focus, partners.labels,
-                 config)
+    labels = partners.labels
+    return _terms(state.amplitudes, state.num_qubits, focus, len(labels) + 1,
+                  [labels], config)[0]
 
 
 def n_tangle_pure(state: StateVector, focus: int, config) -> TangleValue:

@@ -6,11 +6,13 @@ Run from the repository root:
 
 and compare the printed sha256 prefixes before and after a change.  It
 prints, one line each: criterion 1's report file, 300 Haar n = 4
-`sm_residual` JSONs, the CSVs of `batch --family haar --n 3..4 --samples
-100 --seed 7` and `batch --family wclass --n 3..6 --samples 20 --seed 7`
-(in-process, `--jobs 1`), the `tangle` JSON of ten state files with the
-manifest's `command` and `input` blanked, and with `--c5` criterion 5's
-record file.  Nothing is timed.  The file is not collected by pytest.
+`sm_residual` JSONs, 10 Haar n = 5 `sm_residual` JSONs at one restart and
+no sweep (their m = 4 leaves run the nested level-3 linear programs), the
+CSVs of `batch --family haar --n 3..4 --samples 100 --seed 7` and
+`batch --family wclass --n 3..6 --samples 20 --seed 7` (in-process,
+`--jobs 1`), the `tangle` JSON of ten state files with the manifest's
+`command` and `input` blanked, and with `--c5` criterion 5's record file.
+Nothing is timed.  The file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .test_acceptance import (
 )
 
 HAAR_CFG = RoofConfig(restarts=2, max_sweeps=1)
+HAAR5_CFG = RoofConfig(restarts=1, max_sweeps=0)
 BATCHES = {
     "batch haar": ["--family", "haar", "--n", "3..4", "--samples", "100"],
     "batch wclass": ["--family", "wclass", "--n", "3..6", "--samples", "20"],
@@ -69,6 +72,9 @@ def main(argv) -> None:
     haar = [sm_residual(haar_random_state(4, s), 1, HAAR_CFG).to_json_dict()
             for s in range(300)]
     print(f"Haar n = 4: {digest(json.dumps(haar, sort_keys=True).encode())}")
+    haar5 = [sm_residual(haar_random_state(5, s), 1, HAAR5_CFG).to_json_dict()
+             for s in range(10)]
+    print(f"Haar n = 5: {digest(json.dumps(haar5, sort_keys=True).encode())}")
     for name, args in BATCHES.items():
         csv = invoke(["batch", *args, "--seed", "7", "--jobs", "1"])
         print(f"{name}: {digest(csv.encode())}")

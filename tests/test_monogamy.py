@@ -233,8 +233,9 @@ class TestVerifySaturation:
         # an m = 4 term is unconverged when a nested level-3 roof is
         lp = roof._rank2_lp
         monkeypatch.setattr(
-            roof, "_rank2_lp", lambda *args: dataclasses.replace(
-                lp(*args), converged=False))
+            roof, "_rank2_lp", lambda *args: [
+                dataclasses.replace(result, converged=False)
+                for result in lp(*args)])
         report = verify_saturation(w_state_params(5), RoofConfig())
         level4 = [t for t in report.terms if t.m == 4]
         assert len(level4) == 4
@@ -251,9 +252,12 @@ class TestVerifySaturation:
         lp_calls, record_sizes = [], []
 
         def half_converged(*args):
-            lp_calls.append(None)
-            return dataclasses.replace(lp(*args),
-                                       converged=len(lp_calls) % 2 == 0)
+            results = []
+            for result in lp(*args):
+                lp_calls.append(None)
+                results.append(dataclasses.replace(
+                    result, converged=len(lp_calls) % 2 == 0))
+            return results
 
         def recorded_leaf(*args):
             value = leaf(*args)

@@ -24,6 +24,7 @@ from monotangle.roof import (
     _Objective,
     _pair_profile,
     _random_unitary,
+    _rank2_lp,
     _scan_tables,
     _simplex,
     hjw_mix,
@@ -613,8 +614,8 @@ class TestRank2LinearProgram:
         objectives = []
         simplex = roof._simplex
 
-        def recorded(A, c, b, basis):
-            x = simplex(A, c, b, basis)
+        def recorded(A, c, b, basis, *state):
+            x = simplex(A, c, b, basis, *state)
             objectives.append(c[basis] @ x)
             return x
 
@@ -633,6 +634,66 @@ class TestRank2LinearProgram:
             # not closer: the zero members sit at |form| = 1e-13, where the
             # table's form and Det of the row differ in sqrt by up to 1e-8
             assert result.value == pytest.approx(objectives[-1] ** 2, abs=1e-9)
+
+
+def ghz_basis_mixture() -> DensityOperator:
+    """0.7 |GHZ><GHZ| + 0.3 |011><011|: Det(GHZ + z |011>) is the constant
+    1/4, so the binary quartic has no zeros at all."""
+    ghz = np.zeros(8, dtype=complex)
+    ghz[[0, 7]] = 2 ** -0.5
+    basis = np.eye(8)[3]
+    return DensityOperator((1, 2, 3), 0.7 * np.outer(ghz, ghz.conj())
+                           + 0.3 * np.outer(basis, basis))
+
+
+class TestRank2Batch:
+    def test_batch_equals_one_at_a_time(self, monkeypatch):
+        # one _rank2_lp call over a mixed batch gives every term the result
+        # it gets alone, bit for bit: the batch pads each column round to
+        # its widest term and scatters every term's slice of points, A and
+        # c back into that term's table, so a misaligned term shows here
+        widths = []
+        simplex = roof._simplex
+
+        def recorded(A, c, b, basis, *state):
+            widths.append(A.shape[1])
+            return simplex(A, c, b, basis, *state)
+
+        monkeypatch.setattr(roof, "_simplex", recorded)
+        state = haar_random_state(4, 4000)
+        rhos = [
+            ghz_w_mixture(0.9),     # W on -z: Q_4 vanishes to rounding
+            ghz_basis_mixture(),    # no zeros, two centres a patch round
+            reduce_pure_state(wclass_state(wclass_random(4, 77)), (1, 2, 3)),
+            density_from_pure(haar_random_state(3, 5)),
+            *(reduce_pure_state(state, (1,) + partners)
+              for partners in ((2, 3), (2, 4), (3, 4))),
+        ]
+        rows = [rho.eigen_rows for rho in rhos]
+        assert [len(r) for r in rows] == [2, 2, 2, 1, 2, 2, 2]
+        alone, added = [], []
+        for r in rows:
+            widths.clear()
+            alone.append(_rank2_lp([r], [_Objective(pure_three_tangle)])[0])
+            added.append(tuple(np.diff([roof._LP_START] + widths)))
+        # the premises: both start exits pivot nowhere, the quartic of the
+        # GHZ/W mixture nearly loses its leading coefficient, and the
+        # rounds of the pivoting terms add different column counts
+        assert added[2] == added[3] == ()
+        units = rows[0] / np.linalg.norm(rows[0], axis=1)[:, None]
+        quartic = _binary_form(4, pure_three_tangle.polynomial[1], *units)
+        assert abs(quartic[4]) < 1e-15 < abs(quartic[0])
+        assert added[1] == (0, 48, 48, 48)
+        assert added[0] == added[4] == added[5] == added[6] == (4, 96, 96, 96)
+
+        batch = _rank2_lp(rows, [_Objective(pure_three_tangle) for _ in rows])
+        assert len(batch) == len(rows)
+        for single, result in zip(alone, batch):
+            assert result.value == single.value
+            assert np.array_equal(result.best_rows, single.best_rows)
+            assert result.min_pure_tangle_seen == single.min_pure_tangle_seen
+            assert (result.method, result.converged, result.restarts_used) == (
+                single.method, single.converged, single.restarts_used)
 
 
 class TestLevel3Search:

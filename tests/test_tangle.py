@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,9 @@ from monotangle.tangle import (
     _hierarchy,
     _one_tangle_raw,
     _pure_m_tangle_amps,
+    _state_hierarchy,
     concurrence_2q,
+    mixed_tangle_term,
     n_tangle_pure,
     one_tangle,
     pure_functional_2q,
@@ -282,6 +286,55 @@ class TestPureMTangleLeaf:
                                       RoofConfig(restarts=1, max_sweeps=0))
         assert leaf <= ckw
         assert leaf == pytest.approx(ckw, abs=1e-12)
+
+
+def assert_same_record(term, single):
+    """Two term records agree bit for bit."""
+    assert (term.partners, term.m) == (single.partners, single.m)
+    assert term.value == single.value
+    assert term.method == single.method
+    assert term.min_pure_tangle_seen == single.min_pure_tangle_seen
+    assert term.converged == single.converged
+    assert (term.roof is None) == (single.roof is None)
+    if term.roof is not None:
+        assert np.array_equal(term.roof.best_rows, single.roof.best_rows)
+
+
+class TestLevelBatch:
+    """The level-3 roofs of a hierarchy level are solved in one batch; each
+    record must be the one its partner subset gets alone, in level order."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_haar_terms_equal_single_terms(self, seed):
+        cfg = RoofConfig(restarts=2, max_sweeps=1)
+        state = haar_random_state(4, seed)
+        for hub in range(1, 5):
+            _, terms = _state_hierarchy(state, hub, cfg)
+            assert [t.method for t in terms if t.m == 3] == ["rank2_lp"] * 3
+            for term in terms:
+                assert_same_record(
+                    term, mixed_tangle_term(state, hub, term.partners, cfg))
+
+    def test_product_level_mixes_every_route(self):
+        # phi(1, 2, 3) x chi(4, 5), hub 1: within level 3, (2, 3) is pure
+        # and ends at the linear program's start, (4, 5) has rank 2 and
+        # members of zero tangle, a certified zero at the start, and the
+        # four mixed subsets have rank 4 and run the HJW search
+        state = StateVector(5, np.kron(haar_random_state(3, 1).amplitudes,
+                                       haar_random_state(2, 2).amplitudes))
+        cfg = RoofConfig(restarts=1, max_sweeps=0)
+        _, terms = _state_hierarchy(state, 1, cfg)
+        assert [t.partners for t in terms] == [
+            partners for m in (2, 3, 4)
+            for partners in combinations((2, 3, 4, 5), m - 1)]
+        routes = {t.partners: (t.method, len(t.roof.best_rows))
+                  for t in terms if t.m == 3}
+        assert routes.pop((2, 3)) == ("rank2_lp", 1)
+        assert routes.pop((4, 5)) == ("rank2_lp", 2)
+        assert {method for method, _ in routes.values()} == {"roof"}
+        for term in terms:
+            assert_same_record(
+                term, mixed_tangle_term(state, 1, term.partners, cfg))
 
 
 class TestPureThreeTangle:
