@@ -30,9 +30,9 @@ that sphere at rho's Bloch point (Osterloh, Siewert & Uhlmann, PRA 77,
 032310, 2008).  A small linear program over a cached grid, the zeros of
 the binary quartic and local patches solves it (:func:`_rank2_lp`) from
 the eigen-rows, and its optimal basis is the returned decomposition.
-:func:`m_tangles_mixed` takes the states of one hierarchy level under one
-leaf and solves their linear programs together, one numpy pass per column
-round; :func:`m_tangle_mixed` is a batch of one.
+:func:`m_tangles_mixed` routes the eigen-rows of one level's states under
+one leaf and solves their linear programs together, one numpy pass per
+column round; :func:`m_tangle_mixed` checks a density operator's labels.
 
 Either value is attained by the returned rows, so it is an upper bound on
 the roof of the leaf it was given.  For m <= 3 the leaf is exact, so the
@@ -498,7 +498,7 @@ def _quartic_zeros(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
-             basis: list[int], state: list | None = None) -> np.ndarray:
+             basis: list[int], state: list) -> np.ndarray:
     """Revised simplex: min c.w subject to A w = b, w >= 0.
 
     `basis` indexes a feasible nonsingular start basis and is updated in
@@ -513,13 +513,13 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
     Raises RuntimeError past _LP_MAX_PIVOTS: an LP that does not finish is
     an internal failure, never a fallback.
 
-    Without `state`, returns the weights of one backward-stable solve at
-    the optimal basis, so that they reconstruct b to rounding.  A caller
-    that appends columns to A and solves again passes the same list
-    `state` to every call.  The first call stores [B^-1, x] in it and each
-    later call resumes from there: the new columns only enter the pricing,
-    and the basis is not inverted again.  Such a call returns the updated
-    weights x, and the caller makes the one solve after its last call.
+    Every call stores [B^-1, x] in the list `state`, which starts empty,
+    and returns the carried weights x.  A caller that appends columns to
+    A and solves again passes the same list to every call: each later
+    call resumes from there, the new columns only enter the pricing, and
+    the basis is not inverted again.  x carries the rounding of every
+    pivot; :func:`_rank2_lp` solves once at the optimal basis for weights
+    that reconstruct b to rounding.
     """
     if state:
         inverse, x = state
@@ -566,8 +566,6 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
         basic_costs[leave] = c[enter]
     else:
         raise RuntimeError(f"rank-2 roof LP exceeded {_LP_MAX_PIVOTS} pivots")
-    if state is None:
-        return np.linalg.solve(A[:, basis], b)
     state[:] = inverse, x
     return np.array(x)
 
@@ -765,7 +763,7 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     Parameters
     ----------
     rho : DensityOperator
-        State on exactly {focus} union partners.
+        State on exactly {focus} union partners, else InputError.
     pure_functional : callable
         Maps a normalized amplitude vector (length 2^m) to the raw pure
         m-tangle of that member; may return small negatives, which are
@@ -773,37 +771,37 @@ def m_tangle_mixed(rho: DensityOperator, focus: int, partners, pure_functional,
     config : RoofConfig
         Search budget; identical configs give bit-identical results.
 
-    A batch of one of :func:`m_tangles_mixed`, which routes the roof.
+    The label check, then a batch of one of :func:`m_tangles_mixed`.
     """
-    return m_tangles_mixed([rho], focus, [partners], pure_functional,
-                           config)[0]
+    partners = as_subset(partners)
+    expected = tuple(sorted((focus,) + partners.labels))
+    if tuple(sorted(rho.qubit_labels)) != expected:
+        raise InputError(
+            f"rho acts on {rho.qubit_labels}, expected {expected}"
+        )
+    return m_tangles_mixed([rho.eigen_rows], pure_functional, config)[0]
 
 
-def m_tangles_mixed(rhos, focus: int, partner_sets, pure_functional,
+def m_tangles_mixed(rows, pure_functional,
                     config: RoofConfig) -> list[RoofResult]:
     """Convex-roof m-tangles of several states under one leaf, in order.
 
-    rhos[k] is a state on exactly {focus} union partner_sets[k]; the other
-    parameters are those of :func:`m_tangle_mixed`.  Every route starts
-    from the state's `eigen_rows`.  Under the degree-4 leaf (every m = 3
-    term), the states of rank <= 2 are solved together by the linear
+    rows[k] must be state k's eigen-rows as `DensityOperator.eigen_rows`
+    gives them, orthogonal and by decreasing weight: the LP puts the state
+    on its Bloch axis and starts from them.  `pure_functional` and
+    `config` are those of :func:`m_tangle_mixed`.  The route reads the
+    leaf's degree and len(rows[k]) alone.  Under the degree-4 leaf (every
+    m = 3 term), rank <= 2 states are solved together by the linear
     programs of :func:`_rank2_lp` (method "rank2_lp"), where `config` does
     not apply; every other roof is the HJW search :func:`_hjw_search`
     ("roof").  Each result is the one its state gets alone.
     """
-    for rho, partners in zip(rhos, partner_sets):
-        partners = as_subset(partners)
-        expected = tuple(sorted((focus,) + partners.labels))
-        if tuple(sorted(rho.qubit_labels)) != expected:
-            raise InputError(
-                f"rho acts on {rho.qubit_labels}, expected {expected}"
-            )
-    objectives = [_Objective(pure_functional) for _ in rhos]
+    objectives = [_Objective(pure_functional) for _ in rows]
     poly = getattr(pure_functional, "polynomial", None)
-    lp = [k for k, rho in enumerate(rhos)
-          if poly is not None and poly[0] == 4 and len(rho.eigen_rows) <= 2]
-    solved = dict(zip(lp, _rank2_lp([rhos[k].eigen_rows for k in lp],
+    lp = [k for k, r in enumerate(rows)
+          if poly is not None and poly[0] == 4 and len(r) <= 2]
+    solved = dict(zip(lp, _rank2_lp([rows[k] for k in lp],
                                     [objectives[k] for k in lp])))
     return [solved[k] if k in solved
-            else _hjw_search(rho.eigen_rows, objectives[k], config)
-            for k, rho in enumerate(rhos)]
+            else _hjw_search(r, objectives[k], config)
+            for k, r in enumerate(rows)]

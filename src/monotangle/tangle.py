@@ -271,10 +271,10 @@ def _terms(amps: np.ndarray, n: int, fpos: int, m: int, partner_sets,
            config) -> list[TermRecord]:
     """Records of the level-m terms of raw `amps`, one per partner subset.
 
-    The level-3 terms go to the roof together:
-    :func:`monotangle.roof.m_tangles_mixed` evaluates their members with
-    the hyperdeterminant :func:`pure_three_tangle` and solves the
-    reductions of rank <= 2 -- every level-3 term at n = 4 and of a
+    The level-3 terms go to the roof together, as the eigen-rows of their
+    reductions: :func:`monotangle.roof.m_tangles_mixed` evaluates their
+    members with the hyperdeterminant :func:`pure_three_tangle` and solves
+    the reductions of rank <= 2 -- every level-3 term at n = 4 and of a
     W-class state, and every level-3 term inside an m = 4 leaf -- as one
     batch of linear programs (method "rank2_lp"); the others run the HJW
     search under `config` (method "roof").  An m = 3 value is an attained
@@ -284,9 +284,9 @@ def _terms(amps: np.ndarray, n: int, fpos: int, m: int, partner_sets,
     if m != 3:
         return [_term(amps, n, fpos, partners, config)
                 for partners in partner_sets]
-    rhos = [_reduction(amps, n, fpos, partners) for partners in partner_sets]
-    results = m_tangles_mixed(rhos, fpos, partner_sets, pure_three_tangle,
-                              config)
+    rows = [_reduction(amps, n, fpos, partners).eigen_rows
+            for partners in partner_sets]
+    results = m_tangles_mixed(rows, pure_three_tangle, config)
     return [TermRecord(partners, m, result.value, result)
             for partners, result in zip(partner_sets, results)]
 

@@ -11,8 +11,11 @@ no sweep (their m = 4 leaves run the nested level-3 linear programs), the
 CSVs of `batch --family haar --n 3..4 --samples 100 --seed 7` and
 `batch --family wclass --n 3..6 --samples 20 --seed 7` (in-process,
 `--jobs 1`), the `tangle` JSON of ten state files with the manifest's
-`command` and `input` blanked, and with `--c5` criterion 5's record file.
-Nothing is timed.  The file is not collected by pytest.
+`command` and `input` blanked, four single-reduction `tangle --partners`
+JSONs, blanked alike (a closed form, a rank-2 linear program, an m = 4
+certified zero and the rank-4 search of `haar_random_state(5, 3)`), and
+with `--c5` criterion 5's record file.  Nothing is timed.  The file is
+not collected by pytest.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from .test_acceptance import (
 
 HAAR_CFG = RoofConfig(restarts=2, max_sweeps=1)
 HAAR5_CFG = RoofConfig(restarts=1, max_sweeps=0)
+# (state file, --partners) of the single-reduction lines
+PARTNERS = (("haar4", "2"), ("haar4", "2,3"), ("wclass5", "2,3,4"),
+            ("haar5", "2,3"))
 BATCHES = {
     "batch haar": ["--family", "haar", "--n", "3..4", "--samples", "100"],
     "batch wclass": ["--family", "wclass", "--n", "3..6", "--samples", "20"],
@@ -67,6 +73,13 @@ def invoke(args) -> str:
     return result.stdout
 
 
+def tangle_digest(path: Path, *args) -> str:
+    payload = json.loads(invoke(["tangle", str(path), *args]))
+    payload["manifest"]["command"] = None
+    payload["manifest"]["input"] = None
+    return digest(json.dumps(payload, indent=2, sort_keys=True).encode())
+
+
 def main(argv) -> None:
     print(f"C1: {digest(serialize_reports(run_criterion1()))}")
     haar = [sm_residual(haar_random_state(4, s), 1, HAAR_CFG).to_json_dict()
@@ -83,12 +96,13 @@ def main(argv) -> None:
             path = Path(tmp) / f"{name}.json"
             save_state(state, path)
             for focus in (1, 2):
-                payload = json.loads(invoke(["tangle", str(path),
-                                             "--focus", str(focus)]))
-                payload["manifest"]["command"] = None
-                payload["manifest"]["input"] = None
-                text = json.dumps(payload, indent=2, sort_keys=True)
-                print(f"tangle {name} hub {focus}: {digest(text.encode())}")
+                line = tangle_digest(path, "--focus", str(focus))
+                print(f"tangle {name} hub {focus}: {line}")
+        save_state(haar_random_state(5, 3), Path(tmp) / "haar5.json")
+        for name, partners in PARTNERS:
+            line = tangle_digest(Path(tmp) / f"{name}.json",
+                                 "--partners", partners)
+            print(f"tangle {name} --partners {partners}: {line}")
     if "--c5" in argv:
         print(f"C5: {digest(serialize_records(run_criterion5()))}")
 

@@ -10,9 +10,10 @@ from monotangle.qstate import (
     QubitSubset,
     haar_random_state,
     ket_from_basis_terms,
+    reduce_pure_state,
 )
-from monotangle.roof import RoofConfig, hjw_mix
-from monotangle.tangle import TangleValue, mixed_tangle_term
+from monotangle.roof import RoofConfig, hjw_mix, m_tangle_mixed
+from monotangle.tangle import TangleValue, mixed_tangle_term, pure_three_tangle
 from monotangle.wclass import WClassParams, w_state_params
 
 CFG = RoofConfig(restarts=1, max_sweeps=1)
@@ -29,6 +30,9 @@ CFG = RoofConfig(restarts=1, max_sweeps=1)
                                            CFG),
                  "focus must not appear among partners",
                  id="focus-among-partners"),
+    pytest.param(lambda: m_tangle_mixed(
+        reduce_pure_state(haar_random_state(4, 0), (1, 2, 3)), 1, (2, 4),
+        pure_three_tangle, CFG), "acts on", id="roof-labels-mismatch"),
     pytest.param(lambda: DensityOperator((1, 1), np.eye(4) / 4),
                  "bad qubit labels", id="operator-repeated-label"),
     pytest.param(lambda: DensityOperator((1,), np.eye(4) / 4),

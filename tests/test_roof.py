@@ -590,7 +590,7 @@ class TestRank2LinearProgram:
         c = np.array([0, 0, 0, -0.75, 150, -1 / 50, 6])
         b = np.array([0.0, 0.0, 1.0])
         basis = [0, 1, 2]
-        x = _simplex(A, c, b, basis)
+        x = _simplex(A, c, b, basis, [])
         assert c[basis] @ x == pytest.approx(-0.05, abs=1e-12)
         assert np.all(x >= -1e-12)
 
@@ -600,7 +600,7 @@ class TestRank2LinearProgram:
     def test_simplex_matches_a_fresh_inverse_every_pivot(self, seed):
         A, c, b, start = random_feasible_lp(seed)
         basis, dense_basis = list(start), list(start)
-        got = lp_optimum(A, c, basis, _simplex(A, c, b, basis))
+        got = lp_optimum(A, c, basis, _simplex(A, c, b, basis, []))
         expected = lp_optimum(A, c, dense_basis,
                               dense_simplex(A, c, b, dense_basis))
         assert [k for k, _ in got] == [k for k, _ in expected]
