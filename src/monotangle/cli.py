@@ -167,7 +167,7 @@ def _build_params(n, use_w, seed, coeffs) -> WClassParams:
         try:
             with open(coeffs, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # as in qstate.load_state
             raise InputError(f"cannot read coefficient file {coeffs}: {exc}") from exc
         return params_from_dict(data)
     if n is None:

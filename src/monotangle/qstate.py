@@ -307,10 +307,13 @@ def _json_number(value):
 
 
 def complex_from_json(pair) -> complex:
-    """A record's [re, im] entry: exactly two JSON numbers."""
+    """A record's [re, im] entry: exactly two JSON numbers, each a float."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [re, im], got {pair!r}")
-    return complex(_json_number(pair[0]), _json_number(pair[1]))
+    try:
+        return complex(_json_number(pair[0]), _json_number(pair[1]))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"[re, im] entry: {exc}") from exc
 
 
 def state_from_dict(data: dict) -> StateVector:
@@ -347,9 +350,11 @@ def save_state(state: StateVector, path) -> None:
 
 
 def load_state(path) -> StateVector:
+    # ValueError covers bad JSON, bad UTF-8 and an integer literal past
+    # the interpreter's int conversion limit
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read state file {path}: {exc}") from exc
     return state_from_dict(data)

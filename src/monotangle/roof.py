@@ -32,7 +32,10 @@ the binary quartic and local patches solves it (:func:`_rank2_lp`) from
 the eigen-rows, and its optimal basis is the returned decomposition.
 :func:`m_tangles_mixed` routes the eigen-rows of one level's states under
 one leaf and solves their linear programs together, one numpy pass per
-column round; :func:`m_tangle_mixed` checks a density operator's labels.
+column round.  A round is the same width for every term: a term short of
+zeros or basic points repeats a column it has, after the original, so the
+simplex never picks the copy.  :func:`m_tangle_mixed` checks a density
+operator's labels.
 
 Either value is attained by the returned rows, so it is an upper bound on
 the roof of the leaf it was given.  For m <= 3 the leaf is exact, so the
@@ -400,10 +403,6 @@ _LP_PATCH_OFFSETS = np.array([a + 1j * b for a in range(-2, 3)
 _LP_PATCH_STEPS = tuple(
     (t, 1.0 / np.sqrt(1.0 + np.abs(t) ** 2))
     for t in (0.5 * spacing * _LP_PATCH_OFFSETS for spacing in _LP_PATCHES))
-_LP_START = _LP_GRID + 4        # axes and grid
-# column table width: start columns, the quartic's <= 4 zeros, and per
-# round a patch around each of <= 4 basic points
-_LP_COLUMNS = _LP_START + 4 + len(_LP_PATCHES) * 4 * len(_LP_PATCH_OFFSETS)
 # reduced costs above -_LP_TOL are optimal: the weights sum to 1, so the
 # objective is then at most _LP_TOL above its optimum over the columns
 _LP_TOL = 1e-10
@@ -414,16 +413,14 @@ _LP_NEWTON_STEPS = 3
 _LP_ZERO_FORM = 1e-13           # |form| at the members next to the zeros
 
 
-def _bloch_columns(alpha: np.ndarray, beta: np.ndarray, out: np.ndarray) -> None:
-    """Write the Bloch vectors n of the states alpha u0 + beta u1 into out.
+def _bloch_columns(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Constraint columns (1, n_x, n_y, n_z) of the states alpha u0 + beta u1.
 
-    out is rows 1-3 of a slice of the constraint columns (1, n_x, n_y, n_z);
-    row 0 is all ones in the column table already.
+    n is the Bloch vector; the four entries stack on a new first axis.
     """
     cross = alpha.conj() * beta
-    out[0] = 2.0 * cross.real
-    out[1] = 2.0 * cross.imag
-    out[2] = np.abs(alpha) ** 2 - np.abs(beta) ** 2
+    return np.array([np.ones(alpha.shape), 2.0 * cross.real, 2.0 * cross.imag,
+                     np.abs(alpha) ** 2 - np.abs(beta) ** 2])
 
 
 def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -434,14 +431,16 @@ def _monomials(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _lp_table():
-    """Column table with the start columns: +z, -z, +x, +y, then a Fibonacci grid.
+    """The start columns: +z, -z, +x, +y, then a Fibonacci grid.
 
     The four axes come first: with w = (p0, p1, 0, 0) they are a feasible,
     nonsingular start basis.  Returns (points, columns, monomials): points
-    stacks alpha over beta and columns is A, both _LP_COLUMNS wide with the
-    first _LP_START filled in, and monomials are those of the start
-    columns.  Read-only, because the cache hands the same arrays to every
-    term; a term copies the first two and fills in the rest.
+    stacks alpha over beta, columns is A and monomials are the rows of
+    :func:`_monomials`, for these _LP_GRID + 4 columns alone.  Each term
+    starts from copies of the first two, and every round appends the same
+    number of columns to every term (:func:`_rank2_lp`), a repeat always
+    after the column it copies.  Read-only, because the cache hands the
+    same arrays to every term.
     """
     half = math.sqrt(0.5)
     i = np.arange(_LP_GRID) + 0.5
@@ -451,12 +450,8 @@ def _lp_table():
     beta = np.concatenate([[0.0, 1.0, half, 1j * half],
                            np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)])
     alpha = alpha.astype(np.complex128)
-    points = np.zeros((2, _LP_COLUMNS), dtype=np.complex128)
-    points[:, :_LP_START] = alpha, beta
-    columns = np.zeros((4, _LP_COLUMNS))
-    columns[0] = 1.0
-    _bloch_columns(alpha, beta, columns[1:, :_LP_START])
-    tables = (points, columns, _monomials(alpha, beta))
+    tables = (np.stack([alpha, beta]), _bloch_columns(alpha, beta),
+              _monomials(alpha, beta))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -596,11 +591,15 @@ def _rank2_lp(rows: list[np.ndarray],
     eigen-rows, returned for a pure state or a certified zero.
 
     The other terms are solved together, one column round at a time: the
-    zeros, then one round per patch spacing.  A round builds the binary
-    forms' new points, Bloch columns and costs for every term in one numpy
-    pass, on arrays padded to the round's widest term, and writes each
-    term's slices into its copy of the cached table (:func:`_lp_table`)
-    from the left.  Each term then resumes its own simplex state
+    zeros, then one round per patch spacing.  Every round is the same width
+    for every term, 4 points in the zeros round and 4 x 24 in a patch
+    round, so a round is one numpy pass that builds the new points, Bloch
+    columns and costs of every term and appends them to the stacked arrays.
+    A term with fewer than 4 zeros repeats the +z axis, and one with fewer
+    than 4 weighted basic points repeats its first centre's patch, always
+    after its own columns: a copy's reduced cost equals the original's,
+    pricing takes the first minimum and Bland's rule the first improving
+    column, so a copy never enters.  Each term then resumes its own simplex state
     (:func:`_simplex`): the start basis is inverted once, B^-1 and the
     weights carry over from round to round, and one backward-stable solve
     after the last round gives the weights, whose rows sqrt(w_k) psi(n_k)
@@ -620,73 +619,51 @@ def _rank2_lp(rows: list[np.ndarray],
 
     terms = len(todo)
     start_points, start_columns, start_monos = _lp_table()
-    points = np.repeat(start_points[None], terms, axis=0)
-    alpha, beta = points[:, 0], points[:, 1]
+    points = np.repeat(start_points[:, None], terms, axis=1)
     A = np.repeat(start_columns[None], terms, axis=0)
-    c = np.empty((terms, _LP_COLUMNS))
-    c[:, :_LP_START] = 2.0 * np.sqrt(
-        np.abs(start_monos @ coeffs[..., None]))[..., 0]
+    c = 2.0 * np.sqrt(np.abs(start_monos @ coeffs[..., None]))[..., 0]
     b = np.zeros((terms, 4))
     b[:, 0] = probs.sum(axis=1)
     b[:, 3] = probs[:, 0] - probs[:, 1]
     term_rows = np.arange(terms)[:, None]
     bases = [[0, 1, 2, 3] for _ in todo]
     states = [[] for _ in todo]
-    weights = [None] * terms
-
-    def padded(blocks):
-        # one row per term, at least two columns wide, so that the cost
-        # product takes numpy's matrix-vector kernel for every term: a
-        # lone point would take its dot kernel, which rounds differently
-        width = max(2, max(len(block) for block in blocks))
-        out = np.zeros((terms, width), dtype=np.complex128)
-        for row, block in zip(out, blocks):
-            row[:len(block)] = block
-        return out
 
     def rounds():
-        # the quartic's zeros, then 5 x 5 tangent-plane patches around each
-        # weighted basic point of the last solve: (psi + t psi_perp) / |..|,
-        # psi_perp = (-beta*, alpha*), lies a Bloch angle of ~2 |t| from psi
-        zeros = [_quartic_zeros(q) for q in coeffs]
-        yield ([len(z) for z, _ in zeros], padded([z for z, _ in zeros]),
-               padded([z for _, z in zeros]))
+        # the quartic's zeros, padded to 4 with +z, then 5 x 5 tangent-plane
+        # patches around the weighted basic points of the last solve, padded
+        # to 4 with the first: (psi + t psi_perp) / |..|, psi_perp =
+        # (-beta*, alpha*), lies a Bloch angle of ~2 |t| from psi
+        plus_z = [[1.0] * 4, [0.0] * 4]
+        yield np.stack([np.concatenate([_quartic_zeros(q), plus_z], 1)[:, :4]
+                        for q in coeffs], 1)
         for t, norm in _LP_PATCH_STEPS:
-            centres = [[k for k, w in zip(basis, x.tolist()) if w > 0.0]
-                       for basis, x in zip(bases, weights)]
-            index = np.zeros((terms, max(map(len, centres))), dtype=np.intp)
-            for row, centre in zip(index, centres):
-                row[:len(centre)] = centre
-            centre_alpha = alpha[term_rows, index][..., None]
-            centre_beta = beta[term_rows, index][..., None]
-            new_alpha = (centre_alpha - t * centre_beta.conj()) * norm
-            new_beta = (centre_beta + t * centre_alpha.conj()) * norm
-            yield ([len(centre) * len(t) for centre in centres],
-                   new_alpha.reshape(terms, -1), new_beta.reshape(terms, -1))
+            index = []
+            for basis, x in zip(bases, weights):
+                centres = [k for k, w in zip(basis, x.tolist()) if w > 0.0]
+                index.append(centres + centres[:1] * (4 - len(centres)))
+            alpha, beta = points[:, term_rows, index, None]
+            new = norm * np.array([alpha - t * beta.conj(),
+                                   beta + t * alpha.conj()])
+            yield new.reshape(2, terms, -1)
 
-    ends = [_LP_START] * terms
-    for counts, new_alpha, new_beta in rounds():
-        bloch = np.empty((3,) + new_alpha.shape)
-        _bloch_columns(new_alpha, new_beta, bloch)
+    for new in rounds():
         costs = 2.0 * np.sqrt(np.abs(
-            _monomials(new_alpha, new_beta) @ coeffs[..., None]))[..., 0]
-        for k, count in enumerate(counts):
-            n = ends[k]
-            end = ends[k] = n + count
-            points[k, :, n:end] = new_alpha[k, :count], new_beta[k, :count]
-            A[k, 1:, n:end] = bloch[:, k, :count]
-            c[k, n:end] = costs[k, :count]
-            weights[k] = _simplex(A[k, :, :end], c[k, :end], b[k], bases[k],
-                                  states[k])
+            _monomials(*new) @ coeffs[..., None]))[..., 0]
+        points = np.concatenate([points, new], 2)
+        A = np.concatenate([A, _bloch_columns(*new).transpose(1, 0, 2)], 2)
+        c = np.concatenate([c, costs], 1)
+        weights = [_simplex(A[k], c[k], b[k], bases[k], states[k])
+                   for k in range(terms)]
 
     solved = np.linalg.solve(A[term_rows, :, bases].transpose(0, 2, 1),
                              b[..., None])[..., 0]
-    for row, (k, basis, end, x) in enumerate(zip(todo, bases, ends, solved)):
+    for row, (k, basis, x) in enumerate(zip(todo, bases, solved)):
         keep = [i for i in range(len(basis)) if x[i] > 0.0]
         picked = [basis[i] for i in keep]
         best_rows = (np.sqrt(x[keep])[:, None]
-                     * (alpha[row, picked, None] * units[row, 0]
-                        + beta[row, picked, None] * units[row, 1]))
+                     * (points[0, row, picked, None] * units[row, 0]
+                        + points[1, row, picked, None] * units[row, 1]))
         objective = objectives[k]
         value = sum(objective.contribution(r) for r in best_rows)
         results[k] = RoofResult(
@@ -695,7 +672,7 @@ def _rank2_lp(rows: list[np.ndarray],
             restarts_used=0,
             converged=True,
             min_pure_tangle_seen=float(min(objective.min_tau,
-                                           c[row, :end].min() ** 2)),
+                                           c[row].min() ** 2)),
             method="rank2_lp",
         )
     return results

@@ -644,6 +644,28 @@ def test_input_errors_exit_2(runner, tmp_path, w3, args, message):
     assert result.stderr.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("command, record", [
+    pytest.param("ckw-check",
+                 '{"num_qubits": 1, "amplitudes": [[%s, 0], [0, 0]]}',
+                 id="ckw-check"),
+    pytest.param("wclass-gen --coeffs",
+                 '{"a": [%s, 0], "b": [[0.6, 0], [0.8, 0]]}',
+                 id="wclass-gen"),
+])
+def test_oversized_number_is_input_error(runner, tmp_path, command, record,
+                                        digits):
+    # schema-valid JSON numbers: 400 digits was "internal error:
+    # OverflowError" (no float holds it), 5000 "internal error: ValueError"
+    # (past the interpreter's int conversion limit, so json cannot read it)
+    path = tmp_path / "huge.json"
+    path.write_text(record % ("1" + "0" * (digits - 1)))
+    result = invoke(runner, command.split()
+                    + [str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ")
+
+
 def test_cli_import_leaves_scipy_out():
     # importing scipy.optimize costs more than the whole CLI start-up, so
     # no import on the CLI's path may pull scipy in

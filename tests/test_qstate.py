@@ -339,6 +339,12 @@ class TestSerialization:
             record = {"num_qubits": n, "amplitudes": amps}
             assert validator.is_valid(record)
             assert state_from_dict(record).num_qubits == 2
+        # a JSON number the schema accepts but no float holds: complex()
+        # raised OverflowError, which the CLI reported as an internal error
+        record = {"num_qubits": 1, "amplitudes": [[10 ** 399, 0], [0, 0]]}
+        assert validator.is_valid(record)
+        with pytest.raises(InputError, match="malformed state record"):
+            state_from_dict(record)
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_file_rejected(self, tmp_path, token):

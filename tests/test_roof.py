@@ -67,7 +67,7 @@ def assert_members_reproduce(rho, result):
     assert result.min_pure_tangle_seen >= 0.0
 
 
-class TestCanonicalEnsemble:
+class TestEigenRows:
     def test_rank_one_projector(self, bell_state):
         rows = density_from_pure(bell_state).eigen_rows
         assert len(rows) == 1
@@ -649,15 +649,22 @@ def ghz_basis_mixture() -> DensityOperator:
 class TestRank2Batch:
     def test_batch_equals_one_at_a_time(self, monkeypatch):
         # one _rank2_lp call over a mixed batch gives every term the result
-        # it gets alone, bit for bit: the batch pads each column round to
-        # its widest term and scatters every term's slice of points, A and
-        # c back into that term's table, so a misaligned term shows here
-        widths = []
+        # it gets alone, bit for bit: every column round is the same width
+        # for every term, a term short of zeros or weighted basic points
+        # repeats a point it has after its own, and the stacked points, A
+        # and c are appended to as a whole, so a misaligned term or a copy
+        # that enters the basis shows here
+        widths, centres = [], []
         simplex = roof._simplex
 
         def recorded(A, c, b, basis, *state):
+            x = simplex(A, c, b, basis, *state)
             widths.append(A.shape[1])
-            return simplex(A, c, b, basis, *state)
+            centres.append(int(np.count_nonzero(x > 0.0)))
+            for k in basis:  # no basic column repeats an earlier one
+                repeats = (A[:, :k] == A[:, k:k + 1]).all(axis=0)
+                assert not (repeats & (c[:k] == c[k])).any()
+            return x
 
         monkeypatch.setattr(roof, "_simplex", recorded)
         state = haar_random_state(4, 4000)
@@ -671,20 +678,28 @@ class TestRank2Batch:
         ]
         rows = [rho.eigen_rows for rho in rhos]
         assert [len(r) for r in rows] == [2, 2, 2, 1, 2, 2, 2]
-        alone, added = [], []
+        alone, added, seeded = [], [], []
         for r in rows:
             widths.clear()
+            centres.clear()
             alone.append(_rank2_lp([r], [_Objective(pure_three_tangle)])[0])
-            added.append(tuple(np.diff([roof._LP_START] + widths)))
-        # the premises: both start exits pivot nowhere, the quartic of the
-        # GHZ/W mixture nearly loses its leading coefficient, and the
-        # rounds of the pivoting terms add different column counts
+            added.append(tuple(np.diff([roof._LP_GRID + 4] + widths)))
+            seeded.append(tuple(centres[:-1]))  # the last solve seeds nothing
+        # the premises: both start exits pivot nowhere, every pivoting term
+        # adds 4 and then 4 x 24 columns a round, the quartic of the GHZ/W
+        # mixture nearly loses its leading coefficient, and the GHZ/basis
+        # mixture pads every round: it has no zero, so its zeros round is
+        # four copies of +z, and two weighted basic points a solve, so each
+        # patch round repeats its first centre's patch
         assert added[2] == added[3] == ()
-        units = rows[0] / np.linalg.norm(rows[0], axis=1)[:, None]
-        quartic = _binary_form(4, pure_three_tangle.polynomial[1], *units)
-        assert abs(quartic[4]) < 1e-15 < abs(quartic[0])
-        assert added[1] == (0, 48, 48, 48)
-        assert added[0] == added[4] == added[5] == added[6] == (4, 96, 96, 96)
+        assert added[0] == added[1] == added[4] == added[5] == added[6] == (
+            4, 96, 96, 96)
+        units = [r / np.linalg.norm(r, axis=1)[:, None] for r in rows[:2]]
+        quartics = [_binary_form(4, pure_three_tangle.polynomial[1], *u)
+                    for u in units]
+        assert abs(quartics[0][4]) < 1e-15 < abs(quartics[0][0])
+        assert len(roof._quartic_zeros(quartics[1])[0]) == 0
+        assert seeded[1] == (2, 2, 2)
 
         batch = _rank2_lp(rows, [_Objective(pure_three_tangle) for _ in rows])
         assert len(batch) == len(rows)

@@ -239,7 +239,9 @@ class TestParamsSerialization:
         for record in ({"a": [0, 0, 9], "b": b},
                        {"a": [True, 0], "b": b},
                        {"a": [0, 0], "b": [[0.6, False], [0.8, 0]]},
-                       {"a": [0, 0], "b": [["0.6", 0], [0.8, 0]]}):
+                       {"a": [0, 0], "b": [["0.6", 0], [0.8, 0]]},
+                       # two numbers, but the first holds no float
+                       {"a": [10 ** 399, 0], "b": b}):
             with pytest.raises(InputError, match="malformed W-class"):
                 params_from_dict(record)
         assert params_from_dict({"a": [0, 0], "b": b}).b[1] == pytest.approx(0.8)
