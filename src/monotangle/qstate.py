@@ -30,6 +30,7 @@ TRACE_TOL = 1e-12
 NORM_TOL = 5e-13
 PSD_TOL = 1e-10         # eigenvalues may undershoot zero by this much
 PROB_FLOOR = 1e-12      # ensemble weights below this are dropped
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # smallest normal float
 
 
 class InputError(ValueError):
@@ -174,15 +175,26 @@ class DensityOperator:
 
 
 def _normalized_state(num_qubits: int, amps: np.ndarray) -> StateVector:
-    """Accept near-unit inputs unchanged; rescale (and flag) anything else."""
+    """Accept near-unit inputs unchanged; rescale (and flag) anything else.
+
+    Where <psi|psi> over- or underflows a normal float, the norm is taken
+    of the amplitudes divided by their largest real or imaginary part.
+    """
     norm_sq = float(np.vdot(amps, amps).real)
-    if not np.isfinite(norm_sq):
-        raise InvalidStateError(f"state norm is not finite: <psi|psi> = {norm_sq!r}")
-    if norm_sq == 0.0:
-        raise InvalidStateError("state has zero norm")
     if abs(norm_sq - 1.0) <= NORM_TOL:
         return StateVector(num_qubits, amps)
-    return StateVector(num_qubits, amps / np.sqrt(norm_sq), renormalized=True)
+    if _NORMAL_MIN <= norm_sq < np.inf:
+        return StateVector(num_qubits, amps / np.sqrt(norm_sq), renormalized=True)
+    # real division: a complex one by a subnormal overflows
+    parts = np.ascontiguousarray(amps).view(np.float64)
+    largest = float(np.max(np.abs(parts)))
+    if not np.isfinite(largest):
+        raise InvalidStateError(f"state norm is not finite: <psi|psi> = {norm_sq!r}")
+    if largest == 0.0:
+        raise InvalidStateError("state has zero norm")
+    amps = (parts / largest).view(np.complex128)
+    return StateVector(num_qubits, amps / np.sqrt(float(np.vdot(amps, amps).real)),
+                       renormalized=True)
 
 
 def ket_from_basis_terms(num_qubits: int, terms) -> StateVector:

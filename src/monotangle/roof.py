@@ -434,12 +434,12 @@ def _lp_table():
     """The start columns: +z, -z, +x, +y, then a Fibonacci grid.
 
     The four axes come first: with w = (p0, p1, 0, 0) they are a feasible,
-    nonsingular start basis.  Returns (points, columns, monomials): points
-    stacks alpha over beta, columns is A and monomials are the rows of
-    :func:`_monomials`, for these _LP_GRID + 4 columns alone.  Each term
-    starts from copies of the first two, and every round appends the same
-    number of columns to every term (:func:`_rank2_lp`), a repeat always
-    after the column it copies.  Read-only, because the cache hands the
+    nonsingular start basis, the same for every term.  Returns (points,
+    columns, monomials, inverse): points stacks alpha over beta, columns
+    is A and monomials are the rows of :func:`_monomials`, for these
+    _LP_GRID + 4 columns alone, and inverse is the start basis inverted,
+    B^-1 of the first four columns.  Every term of :func:`_rank2_lp`
+    starts from copies of these.  Read-only, because the cache hands the
     same arrays to every term.
     """
     half = math.sqrt(0.5)
@@ -450,8 +450,9 @@ def _lp_table():
     beta = np.concatenate([[0.0, 1.0, half, 1j * half],
                            np.exp(1j * phi) * np.sqrt((1.0 - z) / 2.0)])
     alpha = alpha.astype(np.complex128)
-    tables = (np.stack([alpha, beta]), _bloch_columns(alpha, beta),
-              _monomials(alpha, beta))
+    columns = _bloch_columns(alpha, beta)
+    tables = (np.stack([alpha, beta]), columns, _monomials(alpha, beta),
+              np.linalg.inv(columns[:, :4]))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -492,35 +493,29 @@ def _quartic_zeros(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.array(betas, dtype=np.complex128))
 
 
-def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
-             basis: list[int], state: list) -> np.ndarray:
+def _simplex(A: np.ndarray, c: np.ndarray, basis: list[int],
+             inverse: np.ndarray, x: list[float]) -> list[float]:
     """Revised simplex: min c.w subject to A w = b, w >= 0.
 
-    `basis` indexes a feasible nonsingular start basis and is updated in
-    place to the optimal one.  The basis is inverted once; each pivot then
-    updates the inverse B^-1 and the basic weights x by a rank-one step:
-    with d = B^-1 a_enter and leaving row l, row l becomes row l / d_l and
-    every other row r loses d_r times that.  Pricing takes the most
-    negative reduced cost, ratio ties going to the first row.  After a
-    degenerate pivot it switches to Bland's rule until a pivot makes
+    The caller supplies a feasible nonsingular basis, its inverse B^-1 and
+    its weights x = B^-1 b as a list.  `basis` and
+    `inverse` are updated in place to the optimal ones, and the optimal
+    weights are returned.  Each pivot updates B^-1 and x by a rank-one
+    step: with d = B^-1 a_enter and leaving row l, row l becomes row l /
+    d_l and every other row r loses d_r times that.  Pricing takes the
+    most negative reduced cost, ratio ties going to the first row.  After
+    a degenerate pivot it switches to Bland's rule until a pivot makes
     progress: the first improving column enters, and of the rows within
     _LP_STALL of the smallest ratio, the smallest basis index leaves.
     Raises RuntimeError past _LP_MAX_PIVOTS: an LP that does not finish is
     an internal failure, never a fallback.
 
-    Every call stores [B^-1, x] in the list `state`, which starts empty,
-    and returns the carried weights x.  A caller that appends columns to
-    A and solves again passes the same list to every call: each later
-    call resumes from there, the new columns only enter the pricing, and
-    the basis is not inverted again.  x carries the rounding of every
-    pivot; :func:`_rank2_lp` solves once at the optimal basis for weights
-    that reconstruct b to rounding.
+    A caller that appends columns to A and solves again passes the basis,
+    inverse and weights the last call left: the new columns only enter the
+    pricing.  x carries the rounding of every pivot; :func:`_rank2_lp`
+    solves once at the optimal basis for weights that reconstruct b to
+    rounding.
     """
-    if state:
-        inverse, x = state
-    else:
-        inverse = np.linalg.inv(A[:, basis])
-        x = (inverse @ b).tolist()
     basic_costs = c[basis]
     bland = False
     for _ in range(_LP_MAX_PIVOTS):
@@ -561,19 +556,21 @@ def _simplex(A: np.ndarray, c: np.ndarray, b: np.ndarray,
         basic_costs[leave] = c[enter]
     else:
         raise RuntimeError(f"rank-2 roof LP exceeded {_LP_MAX_PIVOTS} pivots")
-    state[:] = inverse, x
-    return np.array(x)
+    return x
 
 
-def _start_exit(rows: np.ndarray, objective: _Objective) -> RoofResult | None:
-    """The eigen-rows as the roof, for a pure state or a certified zero."""
-    start = sum(objective.contribution(row) for row in rows)
-    if len(rows) == 1 or start * start <= EARLY_STOP_VALUE:
-        return RoofResult(value=float(start * start), best_rows=rows,
-                          restarts_used=0, converged=True,
-                          min_pure_tangle_seen=float(objective.min_tau),
-                          method="rank2_lp")
-    return None
+def _lp_result(rows: np.ndarray, objective: _Objective,
+               floor: float = math.inf) -> RoofResult:
+    """The rank-2 roof result of `rows`, valued by the term's objective.
+
+    `floor` is the smallest pure tangle among the LP's columns, if any:
+    the squared least cost.
+    """
+    value = sum(objective.contribution(row) for row in rows)
+    return RoofResult(value=float(value * value), best_rows=rows,
+                      restarts_used=0, converged=True,
+                      min_pure_tangle_seen=float(min(objective.min_tau, floor)),
+                      method="rank2_lp")
 
 
 def _rank2_lp(rows: list[np.ndarray],
@@ -588,7 +585,8 @@ def _rank2_lp(rows: list[np.ndarray],
     patches around the basic points of each solve.  g = 2 |sum_k Q_k
     alpha^(4-k) beta^k|^(1/2), where Q is the binary form of Det on
     (u0, u1).  The start basis, p0 and p1 on the +-z axes, is the
-    eigen-rows, returned for a pure state or a certified zero.
+    eigen-rows, returned for a pure state or a certified zero; every
+    result, these included, is built by :func:`_lp_result`.
 
     The other terms are solved together, one column round at a time: the
     zeros, then one round per patch spacing.  Every round is the same width
@@ -599,16 +597,18 @@ def _rank2_lp(rows: list[np.ndarray],
     than 4 weighted basic points repeats its first centre's patch, always
     after its own columns: a copy's reduced cost equals the original's,
     pricing takes the first minimum and Bland's rule the first improving
-    column, so a copy never enters.  Each term then resumes its own simplex state
-    (:func:`_simplex`): the start basis is inverted once, B^-1 and the
-    weights carry over from round to round, and one backward-stable solve
-    after the last round gives the weights, whose rows sqrt(w_k) psi(n_k)
-    on the optimal basis are returned.  Every number is computed as it
-    would be for a batch of one.
+    column, so a copy never enters.  The start basis is the same four axes
+    for every term, so each term starts from a copy of the cached B^-1 of
+    :func:`_lp_table` and its own weights B^-1 b; its basis, B^-1 and
+    weights then carry over from round to round (:func:`_simplex`), and
+    one backward-stable solve after the last round gives the weights,
+    whose rows sqrt(w_k) psi(n_k) on the optimal basis are returned.
+    Every number is computed as it would be for a batch of one.
     """
-    results = [_start_exit(r, objective)
+    results = [_lp_result(r, objective)
                for r, objective in zip(rows, objectives)]
-    todo = [k for k, result in enumerate(results) if result is None]
+    todo = [k for k, result in enumerate(results)
+            if len(rows[k]) > 1 and result.value > EARLY_STOP_VALUE]
     if not todo:
         return results
     eigen = np.stack([rows[k] for k in todo])
@@ -618,7 +618,7 @@ def _rank2_lp(rows: list[np.ndarray],
                           units[:, 0], units[:, 1])
 
     terms = len(todo)
-    start_points, start_columns, start_monos = _lp_table()
+    start_points, start_columns, start_monos, start_inverse = _lp_table()
     points = np.repeat(start_points[:, None], terms, axis=1)
     A = np.repeat(start_columns[None], terms, axis=0)
     c = 2.0 * np.sqrt(np.abs(start_monos @ coeffs[..., None]))[..., 0]
@@ -627,7 +627,8 @@ def _rank2_lp(rows: list[np.ndarray],
     b[:, 3] = probs[:, 0] - probs[:, 1]
     term_rows = np.arange(terms)[:, None]
     bases = [[0, 1, 2, 3] for _ in todo]
-    states = [[] for _ in todo]
+    inverses = [start_inverse.copy() for _ in todo]
+    weights = [(inverse @ b_k).tolist() for inverse, b_k in zip(inverses, b)]
 
     def rounds():
         # the quartic's zeros, padded to 4 with +z, then 5 x 5 tangent-plane
@@ -640,7 +641,7 @@ def _rank2_lp(rows: list[np.ndarray],
         for t, norm in _LP_PATCH_STEPS:
             index = []
             for basis, x in zip(bases, weights):
-                centres = [k for k, w in zip(basis, x.tolist()) if w > 0.0]
+                centres = [k for k, w in zip(basis, x) if w > 0.0]
                 index.append(centres + centres[:1] * (4 - len(centres)))
             alpha, beta = points[:, term_rows, index, None]
             new = norm * np.array([alpha - t * beta.conj(),
@@ -653,7 +654,7 @@ def _rank2_lp(rows: list[np.ndarray],
         points = np.concatenate([points, new], 2)
         A = np.concatenate([A, _bloch_columns(*new).transpose(1, 0, 2)], 2)
         c = np.concatenate([c, costs], 1)
-        weights = [_simplex(A[k], c[k], b[k], bases[k], states[k])
+        weights = [_simplex(A[k], c[k], bases[k], inverses[k], weights[k])
                    for k in range(terms)]
 
     solved = np.linalg.solve(A[term_rows, :, bases].transpose(0, 2, 1),
@@ -664,17 +665,7 @@ def _rank2_lp(rows: list[np.ndarray],
         best_rows = (np.sqrt(x[keep])[:, None]
                      * (points[0, row, picked, None] * units[row, 0]
                         + points[1, row, picked, None] * units[row, 1]))
-        objective = objectives[k]
-        value = sum(objective.contribution(r) for r in best_rows)
-        results[k] = RoofResult(
-            value=float(value * value),
-            best_rows=best_rows,
-            restarts_used=0,
-            converged=True,
-            min_pure_tangle_seen=float(min(objective.min_tau,
-                                           c[row].min() ** 2)),
-            method="rank2_lp",
-        )
+        results[k] = _lp_result(best_rows, objectives[k], c[row].min() ** 2)
     return results
 
 

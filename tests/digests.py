@@ -14,8 +14,9 @@ CSVs of `batch --family haar --n 3..4 --samples 100 --seed 7` and
 `command` and `input` blanked, four single-reduction `tangle --partners`
 JSONs, blanked alike (a closed form, a rank-2 linear program, an m = 4
 certified zero and the rank-4 search of `haar_random_state(5, 3)`), and
-with `--c5` criterion 5's record file.  Nothing is timed.  The file is
-not collected by pytest.
+with `--c5` criterion 5's record file.  Each line's wall seconds, the
+time spent computing it, go to stderr as `<label>: <seconds> s`, so
+stdout holds the digests alone.  The file is not collected by pytest.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -80,31 +82,41 @@ def tangle_digest(path: Path, *args) -> str:
     return digest(json.dumps(payload, indent=2, sort_keys=True).encode())
 
 
-def main(argv) -> None:
-    print(f"C1: {digest(serialize_reports(run_criterion1()))}")
+def lines(argv):
+    """(label, digest) of each printed line, computed when it is asked for."""
+    yield "C1", digest(serialize_reports(run_criterion1()))
     haar = [sm_residual(haar_random_state(4, s), 1, HAAR_CFG).to_json_dict()
             for s in range(300)]
-    print(f"Haar n = 4: {digest(json.dumps(haar, sort_keys=True).encode())}")
+    yield "Haar n = 4", digest(json.dumps(haar, sort_keys=True).encode())
     haar5 = [sm_residual(haar_random_state(5, s), 1, HAAR5_CFG).to_json_dict()
              for s in range(10)]
-    print(f"Haar n = 5: {digest(json.dumps(haar5, sort_keys=True).encode())}")
+    yield "Haar n = 5", digest(json.dumps(haar5, sort_keys=True).encode())
     for name, args in BATCHES.items():
         csv = invoke(["batch", *args, "--seed", "7", "--jobs", "1"])
-        print(f"{name}: {digest(csv.encode())}")
+        yield name, digest(csv.encode())
     with tempfile.TemporaryDirectory() as tmp:
         for name, state in tangle_states().items():
             path = Path(tmp) / f"{name}.json"
             save_state(state, path)
             for focus in (1, 2):
-                line = tangle_digest(path, "--focus", str(focus))
-                print(f"tangle {name} hub {focus}: {line}")
+                yield (f"tangle {name} hub {focus}",
+                       tangle_digest(path, "--focus", str(focus)))
         save_state(haar_random_state(5, 3), Path(tmp) / "haar5.json")
         for name, partners in PARTNERS:
-            line = tangle_digest(Path(tmp) / f"{name}.json",
-                                 "--partners", partners)
-            print(f"tangle {name} --partners {partners}: {line}")
+            yield (f"tangle {name} --partners {partners}",
+                   tangle_digest(Path(tmp) / f"{name}.json",
+                                 "--partners", partners))
     if "--c5" in argv:
-        print(f"C5: {digest(serialize_records(run_criterion5()))}")
+        yield "C5", digest(serialize_records(run_criterion5()))
+
+
+def main(argv) -> None:
+    started = time.perf_counter()
+    for label, value in lines(argv):
+        done = time.perf_counter()
+        print(f"{label}: {value}", flush=True)
+        print(f"{label}: {done - started:.3f} s", file=sys.stderr, flush=True)
+        started = done
 
 
 if __name__ == "__main__":

@@ -297,6 +297,21 @@ class TestCkwCheck:
         assert payload["ckw_residual"] == pytest.approx(1.0, abs=1e-9)
         assert payload["saturated_ckw"] is False
 
+    def test_extreme_scale_file_is_rescaled(self, runner, tmp_path):
+        # <psi|psi> overflows at 1e200 and underflows to zero at 1e-170;
+        # both were rejected ("not finite", "zero norm")
+        residuals = []
+        for scale, noted in ((2 ** -0.5, False), (1e200, True), (1e-170, True)):
+            path = tmp_path / "bell.json"
+            path.write_text(json.dumps({"num_qubits": 2, "amplitudes": [
+                [scale, 0], [0, 0], [0, 0], [scale, 0]]}))
+            result = invoke(runner, ["ckw-check", str(path)])
+            assert result.exit_code == 0, result.stderr
+            note = f"note: {path} was rescaled to unit norm\n"
+            assert result.stderr.startswith(note) is noted, scale
+            residuals.append(json.loads(result.stdout)["ckw_residual"])
+        assert residuals[1:] == pytest.approx([residuals[0]] * 2, abs=1e-12)
+
     @pytest.mark.parametrize("tol", ["-0.5", "nan"])
     def test_bad_tolerance_exit_2(self, runner, tmp_path, w3, tol):
         state_file = tmp_path / "w3.json"

@@ -316,6 +316,24 @@ class TestSerialization:
         assert loaded.renormalized
         assert abs(np.vdot(loaded.amplitudes, loaded.amplitudes).real - 1) < 1e-12
 
+    # <psi|psi> overflows, underflows to zero, and is subnormal
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-160])
+    def test_extreme_scale_rescaled(self, scale):
+        unit = haar_random_state(2, 9).amplitudes
+        record = {"num_qubits": 2, "amplitudes": [
+            [a.real * scale, a.imag * scale] for a in unit.tolist()]}
+        loaded = state_from_dict(record)
+        assert loaded.renormalized
+        assert_allclose(loaded.amplitudes, unit, rtol=0.0, atol=1e-15)
+
+    def test_ordinary_rescale_keeps_its_bits(self):
+        amps = 3.0 * haar_random_state(2, 9).amplitudes
+        record = {"num_qubits": 2,
+                  "amplitudes": [[a.real, a.imag] for a in amps.tolist()]}
+        norm_sq = float(np.vdot(amps, amps).real)
+        assert np.array_equal(state_from_dict(record).amplitudes,
+                              amps / np.sqrt(norm_sq))
+
     def test_malformed_state_dict(self):
         with pytest.raises(InputError):
             state_from_dict({"num_qubits": 2, "amplitudes": [[1, 0]]})

@@ -590,7 +590,8 @@ class TestRank2LinearProgram:
         c = np.array([0, 0, 0, -0.75, 150, -1 / 50, 6])
         b = np.array([0.0, 0.0, 1.0])
         basis = [0, 1, 2]
-        x = _simplex(A, c, b, basis, [])
+        inverse = np.linalg.inv(A[:, basis])
+        x = np.array(_simplex(A, c, basis, inverse, (inverse @ b).tolist()))
         assert c[basis] @ x == pytest.approx(-0.05, abs=1e-12)
         assert np.all(x >= -1e-12)
 
@@ -600,7 +601,9 @@ class TestRank2LinearProgram:
     def test_simplex_matches_a_fresh_inverse_every_pivot(self, seed):
         A, c, b, start = random_feasible_lp(seed)
         basis, dense_basis = list(start), list(start)
-        got = lp_optimum(A, c, basis, _simplex(A, c, b, basis, []))
+        inverse = np.linalg.inv(A[:, basis])
+        got = lp_optimum(A, c, basis, _simplex(A, c, basis, inverse,
+                                               (inverse @ b).tolist()))
         expected = lp_optimum(A, c, dense_basis,
                               dense_simplex(A, c, b, dense_basis))
         assert [k for k, _ in got] == [k for k, _ in expected]
@@ -614,8 +617,8 @@ class TestRank2LinearProgram:
         objectives = []
         simplex = roof._simplex
 
-        def recorded(A, c, b, basis, *state):
-            x = simplex(A, c, b, basis, *state)
+        def recorded(A, c, basis, inverse, x):
+            x = simplex(A, c, basis, inverse, x)
             objectives.append(c[basis] @ x)
             return x
 
@@ -657,10 +660,13 @@ class TestRank2Batch:
         widths, centres = [], []
         simplex = roof._simplex
 
-        def recorded(A, c, b, basis, *state):
-            x = simplex(A, c, b, basis, *state)
+        def recorded(A, c, basis, inverse, x):
+            if A.shape[1] == roof._LP_GRID + 8:  # the term's first solve
+                assert np.array_equal(inverse,
+                                      np.linalg.inv(A[:, [0, 1, 2, 3]]))
+            x = simplex(A, c, basis, inverse, x)
             widths.append(A.shape[1])
-            centres.append(int(np.count_nonzero(x > 0.0)))
+            centres.append(int(np.count_nonzero(np.array(x) > 0.0)))
             for k in basis:  # no basic column repeats an earlier one
                 repeats = (A[:, :k] == A[:, k:k + 1]).all(axis=0)
                 assert not (repeats & (c[:k] == c[k])).any()
