@@ -162,6 +162,27 @@ def _read_state(state_file):
     return state
 
 
+def _check_state_inputs(n, use_w, draw_seed, coeffs, state_file=None,
+                        use_wclass=True) -> None:
+    """Reject state inputs that would be ignored or contradict each other.
+
+    `draw_seed` is a --seed that only draws W-class coefficients; sm-check
+    passes None, as its --seed also seeds the roof.
+    """
+    wclass_flags = [flag for flag, given in (
+        ("--n", n is not None), ("--w", use_w), ("--coeffs", coeffs is not None))
+        if given]
+    if state_file is not None and use_wclass:
+        raise InputError("a STATE_FILE and --wclass exclude each other")
+    if wclass_flags and not use_wclass:
+        raise InputError(f"{', '.join(wclass_flags)} given without --wclass")
+    if use_w and coeffs is not None:
+        raise InputError("--w and --coeffs exclude each other")
+    if draw_seed is not None and (use_w or coeffs is not None):
+        raise InputError("--seed draws coefficients; it excludes --w and "
+                         "--coeffs")
+
+
 def _build_params(n, use_w, seed, coeffs) -> WClassParams:
     if coeffs is not None:
         try:
@@ -169,7 +190,11 @@ def _build_params(n, use_w, seed, coeffs) -> WClassParams:
                 data = json.load(fh)
         except (OSError, ValueError) as exc:  # as in qstate.load_state
             raise InputError(f"cannot read coefficient file {coeffs}: {exc}") from exc
-        return params_from_dict(data)
+        params = params_from_dict(data)
+        if n not in (None, params.num_qubits):
+            raise InputError(f"--n {n} differs from the {params.num_qubits} "
+                             f"qubits of {coeffs}")
+        return params
     if n is None:
         raise InputError("need --n with --w/--seed, or --coeffs FILE")
     if use_w:
@@ -198,6 +223,7 @@ def cmd_wclass_gen(n, use_w, seed, coeffs, out):
     """Generate a generalized W-class state file and echo its analytic tangles."""
 
     def body():
+        _check_state_inputs(n, use_w, seed, coeffs)
         params = _build_params(n, use_w, seed, coeffs)
         state = wclass_state(params)
         path = out or f"wclass_n{params.num_qubits}.json"
@@ -325,6 +351,7 @@ def cmd_sm_check(state_file, use_wclass, n, use_w, coeffs, focus, sweep_foci_,
 
     def body():
         t0 = time.perf_counter()
+        _check_state_inputs(n, use_w, None, coeffs, state_file, use_wclass)
         if use_wclass:
             params = _build_params(n, use_w, seed, coeffs)
             state = wclass_state(params)

@@ -89,9 +89,11 @@ def sm_residual(state: StateVector, focus: int, config: RoofConfig, *,
                 tol_roof: float = DEFAULT_TOL_ROOF) -> MonogamyReport:
     """Full strong-monogamy evaluation of a pure state with hub `focus`.
 
-    Level-2 terms use the concurrence closed form; levels m >= 3 run the
-    convex-roof search under `config`.  Roof non-convergence flags the
-    report but the residual is still assembled from the best values found.
+    Level-2 terms use the concurrence closed form.  Level-3 terms of rank
+    <= 2 take the exact linear program, where `config` does not apply; the
+    other level-3 terms and every level m >= 4 run the convex-roof search
+    under `config`.  Roof non-convergence flags the report but the residual
+    is still assembled from the best values found.
     The residual equals the recursive n-tangle of the state.  Every state
     that :mod:`monotangle.qstate` holds is evaluated; the cost grows
     combinatorially with n, and only the CLI caps n.

@@ -125,7 +125,7 @@ class RoofConfig:
 
 @dataclass(frozen=True)
 class RoofResult:
-    """Outcome of one roof search.
+    """Outcome of one convex roof: an HJW search or a rank-2 linear program.
 
     value:  the minimized [sum p_h sqrt(tau_h)]^2 over everything searched.
     best_rows: the best decomposition found, as scaled-member rows R

@@ -10,9 +10,9 @@ power m/2, for m = 2 ... n-1.
 
 That (level, subset) hierarchy is written once, on raw amplitudes:
 :func:`_hierarchy` lists the terms, as :class:`TermRecord` records, and
-:func:`_terms` evaluates one level of them -- the concurrence closed form
-for m = 2, a convex roof delegated to :mod:`monotangle.roof` for m >= 3,
-where the level-3 roofs of a level go to the roof in one call.  The
+:func:`_terms`, the one place that routes a level, evaluates one level of
+them -- the concurrence closed form for m = 2, a convex roof delegated to
+:mod:`monotangle.roof` for m >= 3, the level-3 roofs in one call.  The
 roof's members are evaluated by the Cayley-hyperdeterminant leaf
 :func:`pure_three_tangle` for m = 3 and by :func:`_pure_m_tangle_amps`,
 itself a fold over :func:`_hierarchy`, for m >= 4.
@@ -234,27 +234,13 @@ def _reduction(amps: np.ndarray, n: int, fpos: int,
     return DensityOperator(kept, _reduced_from_pure(amps, n, positions))
 
 
-def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
-          config) -> TermRecord:
-    """Mixed m-tangle, m = 2 or m >= 4, of the reduction onto fpos + partners.
+def _leaf_roof(rho: DensityOperator, fpos: int, partners: tuple[int, ...],
+               config) -> RoofResult:
+    """HJW roof of an m >= 4 reduction on the leaf :func:`_pure_m_tangle_amps`.
 
-    Returns the term's record; level-3 terms are evaluated a level at a
-    time by :func:`_terms`.  For m = 2 the concurrence closed form, taken
-    from the pure-state factor of the reduction, is exact and the record's
-    roof is None.  For m >= 4 :func:`monotangle.roof.m_tangle_mixed` runs
-    the HJW search under `config` from the eigen-rows of the reduction's
-    DensityOperator, on the leaf that recurses through :func:`_hierarchy`;
-    non-convergence of any nested roof marks the returned result as not
-    converged.  An m >= 4 value is an upper bound only on the roof of the
-    computed leaf, which subtracts inner roofs that are upper bounds
-    themselves and so lies below the true leaf; it bounds no true roof.
+    Non-convergence of any nested roof marks the result as not converged.
     """
     m = len(partners) + 1
-    if m == 2:
-        positions = tuple(p - 1 for p in sorted((fpos,) + partners))
-        value = _concurrence_matrix(_pure_factor(amps, n, positions)) ** 2
-        return TermRecord(partners, m, value, None)
-    rho = _reduction(amps, n, fpos, partners)
     nested: set[bool] = set()
     member_fpos = rho.qubit_labels.index(fpos) + 1
 
@@ -264,29 +250,39 @@ def _term(amps: np.ndarray, n: int, fpos: int, partners: tuple[int, ...],
     result = _roof_minimize(rho, fpos, partners, pure_functional, config)
     if False in nested:
         result = dataclasses.replace(result, converged=False)
-    return TermRecord(partners, m, result.value, result)
+    return result
 
 
 def _terms(amps: np.ndarray, n: int, fpos: int, m: int, partner_sets,
            config) -> list[TermRecord]:
     """Records of the level-m terms of raw `amps`, one per partner subset.
 
-    The level-3 terms go to the roof together, as the eigen-rows of their
-    reductions: :func:`monotangle.roof.m_tangles_mixed` evaluates their
-    members with the hyperdeterminant :func:`pure_three_tangle` and solves
-    the reductions of rank <= 2 -- every level-3 term at n = 4 and of a
-    W-class state, and every level-3 term inside an m = 4 leaf -- as one
-    batch of linear programs (method "rank2_lp"); the others run the HJW
-    search under `config` (method "roof").  An m = 3 value is an attained
-    upper bound on its roof.  Every other level is evaluated term by term
-    (:func:`_term`).
+    The one router of a level.  m = 2 takes the concurrence closed form of
+    the reduction's pure-state factor, exact, with roof None.  The level-3
+    reductions go to :func:`monotangle.roof.m_tangles_mixed` together, as
+    eigen-rows on the leaf :func:`pure_three_tangle`: those of rank <= 2
+    -- every level-3 term at n = 4, of a W-class state and inside an m = 4
+    leaf -- are one batch of linear programs ("rank2_lp"), the others run
+    the HJW search under `config` ("roof"); an m = 3 value is an attained
+    upper bound on its roof.  Each m >= 4 term runs the HJW search from its
+    reduction's eigen-rows on the leaf that recurses through
+    :func:`_hierarchy` (:func:`_leaf_roof`).  Its value is an upper bound
+    only on the roof of the computed leaf, which subtracts inner roofs that
+    are upper bounds themselves and so lies below the true leaf; it bounds
+    no true roof.
     """
-    if m != 3:
-        return [_term(amps, n, fpos, partners, config)
-                for partners in partner_sets]
-    rows = [_reduction(amps, n, fpos, partners).eigen_rows
-            for partners in partner_sets]
-    results = m_tangles_mixed(rows, pure_three_tangle, config)
+    if m == 2:
+        return [TermRecord(partners, m, _concurrence_matrix(_pure_factor(
+            amps, n, tuple(p - 1 for p in sorted((fpos,) + partners)))) ** 2,
+            None) for partners in partner_sets]
+    if m == 3:
+        results = m_tangles_mixed(
+            [_reduction(amps, n, fpos, partners).eigen_rows
+             for partners in partner_sets], pure_three_tangle, config)
+    else:
+        results = [_leaf_roof(_reduction(amps, n, fpos, partners), fpos,
+                              partners, config)
+                   for partners in partner_sets]
     return [TermRecord(partners, m, result.value, result)
             for partners, result in zip(partner_sets, results)]
 

@@ -11,9 +11,10 @@ no sweep (their m = 4 leaves run the nested level-3 linear programs), the
 CSVs of `batch --family haar --n 3..4 --samples 100 --seed 7` and
 `batch --family wclass --n 3..6 --samples 20 --seed 7` (in-process,
 `--jobs 1`), the `tangle` JSON of ten state files with the manifest's
-`command` and `input` blanked, four single-reduction `tangle --partners`
+`command` and `input` blanked, five single-reduction `tangle --partners`
 JSONs, blanked alike (a closed form, a rank-2 linear program, an m = 4
-certified zero and the rank-4 search of `haar_random_state(5, 3)`), and
+certified zero, the rank-4 search of `haar_random_state(5, 3)` and the
+m = 5 certified zero of `wclass_state(wclass_random(6, 3))`), and
 with `--c5` criterion 5's record file.  Each line's wall seconds, the
 time spent computing it, go to stderr as `<label>: <seconds> s`, so
 stdout holds the digests alone.  The file is not collected by pytest.
@@ -47,7 +48,7 @@ HAAR_CFG = RoofConfig(restarts=2, max_sweeps=1)
 HAAR5_CFG = RoofConfig(restarts=1, max_sweeps=0)
 # (state file, --partners) of the single-reduction lines
 PARTNERS = (("haar4", "2"), ("haar4", "2,3"), ("wclass5", "2,3,4"),
-            ("haar5", "2,3"))
+            ("haar5", "2,3"), ("wclass6", "2,3,4,5"))
 BATCHES = {
     "batch haar": ["--family", "haar", "--n", "3..4", "--samples", "100"],
     "batch wclass": ["--family", "wclass", "--n", "3..6", "--samples", "20"],
@@ -102,6 +103,8 @@ def lines(argv):
                 yield (f"tangle {name} hub {focus}",
                        tangle_digest(path, "--focus", str(focus)))
         save_state(haar_random_state(5, 3), Path(tmp) / "haar5.json")
+        save_state(wclass_state(wclass_random(6, 3)),
+                   Path(tmp) / "wclass6.json")
         for name, partners in PARTNERS:
             yield (f"tangle {name} --partners {partners}",
                    tangle_digest(Path(tmp) / f"{name}.json",

@@ -333,6 +333,14 @@ class TestCkwCheck:
 
 
 class TestSmCheck:
+    def test_seed_with_w_seeds_the_roof(self, runner, tmp_path):
+        # wclass-gen rejects --seed with --w; here it is the roof seed
+        out = tmp_path / "sm.json"
+        result = invoke(runner, ["sm-check", "--wclass", "--n", "3", "--w",
+                                 "--seed", "5", "--out", str(out)])
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["manifest"]["seed"] == 5
+
     def test_w4_saturated(self, runner, tmp_path):
         out = tmp_path / "sm.json"
         result = invoke(runner, ["sm-check", "--wclass", "--n", "4", "--w",
@@ -641,6 +649,27 @@ class TestBatch:
                  "cannot read coefficient file", id="unreadable-coeffs"),
     pytest.param(["wclass-gen", "--n", "3"],
                  "need one of --w, --seed, or --coeffs", id="n-alone"),
+    pytest.param(["sm-check", "{tmp}/w3.json", "--wclass", "--n", "4",
+                  "--w"], "a STATE_FILE and --wclass exclude each other",
+                 id="sm-check-file-and-wclass"),
+    pytest.param(["sm-check", "{tmp}/w3.json", "--n", "5", "--coeffs",
+                  "{tmp}/missing.json"], "--n, --coeffs given without --wclass",
+                 id="sm-check-wclass-options-without-wclass"),
+    pytest.param(["sm-check", "{tmp}/w3.json", "--w"],
+                 "--w given without --wclass",
+                 id="sm-check-w-without-wclass"),
+    pytest.param(["sm-check", "--wclass", "--w", "--coeffs", "{tmp}/c3.json"],
+                 "--w and --coeffs exclude each other",
+                 id="sm-check-w-and-coeffs"),
+    pytest.param(["wclass-gen", "--n", "5", "--coeffs", "{tmp}/c3.json"],
+                 "--n 5 differs from the 3 qubits", id="n-differs-from-coeffs"),
+    pytest.param(["wclass-gen", "--n", "3", "--w", "--coeffs",
+                  "{tmp}/c3.json"], "--w and --coeffs exclude each other",
+                 id="wclass-gen-w-and-coeffs"),
+    pytest.param(["wclass-gen", "--n", "3", "--w", "--seed", "1"],
+                 "--seed draws coefficients", id="wclass-gen-seed-and-w"),
+    pytest.param(["wclass-gen", "--coeffs", "{tmp}/c3.json", "--seed", "1"],
+                 "--seed draws coefficients", id="wclass-gen-seed-and-coeffs"),
     pytest.param(["tangle", "{tmp}/w3.json", "--partners", "2,x"],
                  "bad partner list", id="non-integer-partner"),
     pytest.param(["tangle", "{tmp}/w3.json", "--partners", "5"],
@@ -653,6 +682,8 @@ class TestBatch:
 ])
 def test_input_errors_exit_2(runner, tmp_path, w3, args, message):
     save_state(w3, tmp_path / "w3.json")
+    (tmp_path / "c3.json").write_text(json.dumps(
+        {"a": [0.0, 0.0], "b": [[0.6, 0.0], [0.48, 0.0], [0.64, 0.0]]}))
     args = [arg.format(tmp=tmp_path) for arg in args]
     result = invoke(runner, args + ["--out", str(tmp_path / "out")])
     assert result.exit_code == 2

@@ -337,6 +337,20 @@ class TestLevelBatch:
                 term, mixed_tangle_term(state, 1, term.partners, cfg))
 
 
+    @pytest.mark.parametrize("hub", [1, 4])
+    def test_wclass6_terms_equal_single_terms(self, hub):
+        # n = 6 reaches m = 5: closed forms, level-3 linear programs, and
+        # the nested-leaf search at m = 4 and 5
+        cfg = RoofConfig()
+        state = wclass_state(wclass_random(6, 3))
+        _, terms = _state_hierarchy(state, hub, cfg)
+        assert {(t.m, t.method) for t in terms} == {
+            (2, "closed_form"), (3, "rank2_lp"), (4, "roof"), (5, "roof")}
+        for term in terms:
+            assert_same_record(
+                term, mixed_tangle_term(state, hub, term.partners, cfg))
+
+
 class TestPureThreeTangle:
     def test_matches_recursion_for_every_hub(self):
         # 4 |Det| against tau_1 - C_12^2 - C_13^2 through the hierarchy
